@@ -32,10 +32,35 @@ FRONT_OUT="${7:-$(dirname "$OUT")/BENCH_front.json}"
 DEPS_OUT="${8:-$(dirname "$OUT")/BENCH_deps.json}"
 BENCH_DIR="$BUILD_DIR/bench"
 
-if ! ls "$BENCH_DIR"/bench_* >/dev/null 2>&1; then
-  echo "error: no bench_* binaries under $BENCH_DIR (build first?)" >&2
-  exit 1
-fi
+# Every suite bench/CMakeLists.txt builds. A missing binary aborts the
+# run instead of being skipped (a skipped suite once left its BENCH file
+# uncommitted for a whole release), and so does a bench_* binary this
+# list does not name: add new suites here.
+SUITES="bench_table1_templates bench_table2_depmap bench_table3_bounds
+  bench_table4_block bench_fig1_stencil bench_fig2_legality
+  bench_fig5_boundsrep bench_fig7_matmul bench_c1_revperm_vs_unimodular
+  bench_c2_trapezoid_tiles bench_c3_composition bench_c4_fanout
+  bench_search bench_batch bench_serve bench_front bench_analyze
+  bench_native bench_deps"
+
+for NAME in $SUITES; do
+  if [ ! -x "$BENCH_DIR/$NAME" ]; then
+    echo "error: expected suite $NAME is missing under $BENCH_DIR" \
+      "(build first?); aborting without writing $OUT" >&2
+    exit 1
+  fi
+done
+for BIN in "$BENCH_DIR"/bench_*; do
+  [ -x "$BIN" ] || continue
+  case " $(echo $SUITES) " in
+  *" $(basename "$BIN") "*) ;;
+  *)
+    echo "error: $(basename "$BIN") is not in run_all.sh's suite list;" \
+      "aborting without writing $OUT" >&2
+    exit 1
+    ;;
+  esac
+done
 
 TMP="$(mktemp)"
 BATCH_TMP="$(mktemp)"
@@ -49,9 +74,8 @@ trap 'rm -f "$TMP" "$BATCH_TMP" "$ANALYZE_TMP" "$SERVE_TMP" "$NATIVE_TMP" "$FRON
 # Fail fast: a partial aggregate would silently skew any perf-trajectory
 # comparison, so the first failing binary aborts the run and OUT is left
 # untouched.
-for BIN in "$BENCH_DIR"/bench_*; do
-  [ -x "$BIN" ] || continue
-  NAME="$(basename "$BIN")"
+for NAME in $SUITES; do
+  BIN="$BENCH_DIR/$NAME"
   echo "running $NAME..." >&2
   DEST="$TMP"
   [ "$NAME" = bench_batch ] && DEST="$BATCH_TMP"

@@ -54,39 +54,54 @@ bool CacheSim::access(uint64_t Addr) {
   return false;
 }
 
-void ArrayLayout::declare(const std::string &Array, std::vector<int64_t> Lows,
-                          std::vector<int64_t> Highs) {
+unsigned ArrayLayout::declare(const std::string &Array,
+                              std::vector<int64_t> Lows,
+                              std::vector<int64_t> Highs) {
   assert(Lows.size() == Highs.size() && "extent arity mismatch");
+  Info I;
+  I.Base = NextBase;
   uint64_t Elems = 1;
   for (size_t D = 0; D < Lows.size(); ++D) {
     assert(Highs[D] >= Lows[D] && "empty array extent");
+    I.Strides.push_back(Elems);
     Elems *= static_cast<uint64_t>(Highs[D] - Lows[D] + 1);
   }
-  Info I;
-  I.Base = NextBase;
   I.Lows = std::move(Lows);
   I.Highs = std::move(Highs);
-  Arrays.emplace(Array, std::move(I));
+  unsigned Id = static_cast<unsigned>(Infos.size());
+  Infos.push_back(std::move(I));
+  Ids.emplace(Array, Id);
   uint64_t Bytes = Elems * 8;
   NextBase += (Bytes + 4095) / 4096 * 4096 + 4096; // 4KiB-align + guard page
+  return Id;
 }
 
 uint64_t ArrayLayout::addressOf(const std::string &Array,
                                 const std::vector<int64_t> &Subs) const {
-  auto It = Arrays.find(Array);
-  assert(It != Arrays.end() && "access to undeclared array");
-  const Info &I = It->second;
+  auto It = Ids.find(Array);
+  assert(It != Ids.end() && "access to undeclared array");
+  const Info &I = Infos[It->second];
   assert(Subs.size() == I.Lows.size() && "subscript arity mismatch");
-  // Column-major: the first subscript varies fastest.
   uint64_t Offset = 0;
-  uint64_t Stride = 1;
   for (size_t D = 0; D < Subs.size(); ++D) {
     assert(Subs[D] >= I.Lows[D] && Subs[D] <= I.Highs[D] &&
            "subscript out of declared range");
-    Offset += static_cast<uint64_t>(Subs[D] - I.Lows[D]) * Stride;
-    Stride *= static_cast<uint64_t>(I.Highs[D] - I.Lows[D] + 1);
+    Offset += static_cast<uint64_t>(Subs[D] - I.Lows[D]) * I.Strides[D];
   }
   return I.Base + Offset * 8;
+}
+
+ArrayLayout::AffineAddress ArrayLayout::affineAddress(unsigned Id) const {
+  // Base + sum_d (S_d - L_d) * Stride_d * 8, regrouped; unsigned
+  // wraparound makes the regrouping exact.
+  const Info &I = Infos[Id];
+  AffineAddress A;
+  A.Offset = I.Base;
+  for (size_t D = 0; D < I.Lows.size(); ++D) {
+    A.Coefs.push_back(I.Strides[D] * 8);
+    A.Offset -= static_cast<uint64_t>(I.Lows[D]) * A.Coefs.back();
+  }
+  return A;
 }
 
 double irlt::replayTrace(const std::vector<MemAccess> &Accesses,

@@ -72,26 +72,49 @@ private:
 };
 
 /// Column-major layout of the arrays appearing in a trace.
+///
+/// Two addressing forms share one placement policy: by name (the
+/// interpreter trace's MemAccess records) and by the id declare()
+/// returns (the search layer's lowered access programs, which number
+/// their arrays once and then address without string lookups).
 class ArrayLayout {
 public:
   /// Declares array extents; subscripts are assumed in [Low_d, High_d].
   /// Arrays are packed at disjoint 4KiB-aligned bases in declaration
-  /// order; elements are 8 bytes.
-  void declare(const std::string &Array, std::vector<int64_t> Lows,
-               std::vector<int64_t> Highs);
+  /// order, each followed by a guard page; elements are 8 bytes.
+  /// \returns the array's id: its 0-based declaration ordinal.
+  unsigned declare(const std::string &Array, std::vector<int64_t> Lows,
+                   std::vector<int64_t> Highs);
 
   /// Byte address of one element. Asserts the array was declared and the
   /// subscripts are in range.
   uint64_t addressOf(const std::string &Array,
                      const std::vector<int64_t> &Subs) const;
 
+  /// The byte address of array \p Id's elements as an affine function of
+  /// the subscripts: addressOf(its name, Subs) == Offset + sum_d Coefs[d]
+  /// * Subs[d] in uint64 arithmetic, for every in-range Subs.
+  struct AffineAddress {
+    uint64_t Offset = 0;
+    std::vector<uint64_t> Coefs;
+  };
+  AffineAddress affineAddress(unsigned Id) const;
+
+  /// One past the highest byte any declared array (or its guard page)
+  /// occupies: every address lies in [0, endAddress()).
+  uint64_t endAddress() const { return NextBase; }
+
 private:
   struct Info {
     uint64_t Base;
     std::vector<int64_t> Lows;
     std::vector<int64_t> Highs;
+    /// Column-major element strides: the first subscript varies fastest.
+    std::vector<uint64_t> Strides;
   };
-  std::map<std::string, Info> Arrays;
+
+  std::vector<Info> Infos;
+  std::map<std::string, unsigned> Ids;
   uint64_t NextBase = 0;
 };
 

@@ -17,9 +17,11 @@
 #include "ir/Parser.h"
 #include "search/Search.h"
 #include "support/MathUtils.h"
+#include "support/Printing.h"
 #include "transform/Sequence.h"
 #include "transform/TypeState.h"
 
+#include <cstring>
 #include <optional>
 
 using namespace irlt;
@@ -67,6 +69,56 @@ CaseOutcome outcome(Category Cat, std::string Detail = "") {
 /// failing stage reports), so the bucketing is textual by design.
 bool mentionsOverflow(const std::string &Message) {
   return Message.find("overflow") != std::string::npos;
+}
+
+std::string renderMiss(const std::optional<double> &M) {
+  return M ? formatStr("%.17g", *M) : "none";
+}
+
+/// The search-mode cost-model oracle: checks the production miss ratio
+/// against CostModel::referenceMissRatio on the identity, the reported
+/// candidates (whose MissRatio the search measured) and the generated
+/// script. Generated nests are small enough to fit the search's cache,
+/// where most access orders give the same ratio, so every sequence is
+/// also measured on a cache of four 2-way sets, where order shows.
+/// \returns a description of the first disagreement, or "".
+std::string costModelMismatch(const LoopNest &Nest,
+                              const search::SearchOptions &SO,
+                              const FuzzCase &C,
+                              const std::vector<search::ScoredSequence> &Top) {
+  std::vector<TransformSequence> Seqs(1); // the identity
+  for (const search::ScoredSequence &S : Top)
+    Seqs.push_back(S.Seq);
+  if (!C.CorruptedLines)
+    if (ErrorOr<TransformSequence> Script =
+            parseTransformScript(joinScript(C.Script), Nest.numLoops()))
+      Seqs.push_back(Script.take());
+
+  const CacheConfig Caches[] = {SO.Cache, CacheConfig{256, 32, 2}};
+  for (const CacheConfig &Cache : Caches) {
+    search::CostModelOptions CO;
+    CO.Params = SO.CostParams;
+    CO.Cache = Cache;
+    CO.MaxInstances = SO.MaxTraceInstances;
+    search::CostModel CM(Nest, CO);
+    for (size_t I = 0; I < Seqs.size(); ++I) {
+      // The search's own measurement for its reported candidates.
+      bool Reported = &Cache == &Caches[0] && I > 0 && I <= Top.size();
+      std::optional<double> Prod =
+          Reported ? std::optional<double>(Top[I - 1].MissRatio)
+                   : CM.missRatio(Seqs[I], Seqs[I].str());
+      std::optional<double> Ref = CM.referenceMissRatio(Seqs[I]);
+      if (Prod.has_value() == Ref.has_value() &&
+          (!Prod || std::memcmp(&*Prod, &*Ref, sizeof(double)) == 0))
+        continue;
+      return formatStr("production miss ratio %s != reference %s for <%s> "
+                       "on a %llu-byte cache",
+                       renderMiss(Prod).c_str(), renderMiss(Ref).c_str(),
+                       Seqs[I].str().c_str(),
+                       static_cast<unsigned long long>(Cache.SizeBytes));
+    }
+  }
+  return "";
 }
 
 } // namespace
@@ -346,6 +398,15 @@ CaseOutcome irlt::fuzz::runSearchCase(const FuzzCase &C,
       R.Stats.AnalyzerPruned != R2.Stats.AnalyzerPruned)
     return outcome(Category::OracleFailure,
                    "search result differs between 1 and 2 threads");
+
+  // Cost-model oracle: the production measurement (the lowered access
+  // program) must equal the reference interpreter bit for bit on the
+  // identity, on every reported candidate, and on the case's script.
+  if (SO.Obj != search::Objective::Parallelism) {
+    std::string Mismatch = costModelMismatch(Nest, SO, C, R.Top);
+    if (!Mismatch.empty())
+      return outcome(Category::OracleFailure, "cost model: " + Mismatch);
+  }
 
   // No candidate is a legitimate outcome (e.g. fully serial nests under
   // the parallelism objective).

@@ -110,6 +110,33 @@ std::string LoopNest::validate() const {
   return std::string();
 }
 
+std::set<std::string> LoopNest::freeSymbols() const {
+  std::set<std::string> Vars;
+  auto Collect = [&](const ExprRef &E) {
+    if (E)
+      E->collectVars(Vars);
+  };
+  for (const Loop &L : Loops) {
+    Collect(L.Lower);
+    Collect(L.Upper);
+    Collect(L.Step);
+  }
+  for (const InitStmt &I : Inits)
+    Collect(I.Value);
+  for (const AssignStmt &S : Body) {
+    for (const ExprRef &Sub : S.LHS.Subscripts)
+      Collect(Sub);
+    Collect(S.RHS);
+  }
+  for (const Loop &L : Loops)
+    Vars.erase(L.IndexVar);
+  for (const InitStmt &I : Inits)
+    Vars.erase(I.Var);
+  for (const std::string &V : BodyIndexVars)
+    Vars.erase(V);
+  return Vars;
+}
+
 std::string LoopNest::str() const {
   IndentedWriter W;
   for (const Loop &L : Loops) {

@@ -127,6 +127,12 @@ public:
   /// Renders the nest in the loop language (parsable by Parser).
   std::string str() const;
 
+  /// The symbolic parameters: every variable some bound, step, init,
+  /// subscript or right-hand side mentions that no loop, init statement
+  /// or body index variable defines. Running the nest needs a value for
+  /// each (e.g. the block sizes a `block 1 3 bj bk bi` step introduces).
+  std::set<std::string> freeSymbols() const;
+
   /// Convenience: sets BodyIndexVars to the loop variables (call after
   /// building an original nest by hand).
   void sealAsSource();

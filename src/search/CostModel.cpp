@@ -7,6 +7,7 @@
 #include "search/CostModel.h"
 
 #include "eval/Evaluator.h"
+#include "search/AccessProgram.h"
 #include "support/Casting.h"
 #include "support/MathUtils.h"
 
@@ -76,25 +77,9 @@ bool isBuiltinFn(const std::string &Name) {
 
 std::map<std::string, int64_t>
 CostModel::defaultBindings(const LoopNest &Nest) {
-  std::set<std::string> Vars;
-  forEachExpr(Nest, [&](const ExprRef &E) {
-    if (E)
-      E->collectVars(Vars);
-  });
   std::map<std::string, int64_t> Bindings;
-  for (const std::string &V : Vars) {
-    if (Nest.bindsVar(V))
-      continue;
-    if (std::find(Nest.BodyIndexVars.begin(), Nest.BodyIndexVars.end(), V) !=
-        Nest.BodyIndexVars.end())
-      continue;
-    bool InitDefined = false;
-    for (const InitStmt &I : Nest.Inits)
-      InitDefined |= I.Var == V;
-    if (InitDefined)
-      continue;
+  for (const std::string &V : Nest.freeSymbols())
     Bindings[V] = 24;
-  }
   return Bindings;
 }
 
@@ -143,6 +128,36 @@ std::optional<double> CostModel::measure(const TransformSequence &Seq) {
   if (Guard.triggered() || !Transformed)
     return std::nullopt;
 
+  if (std::optional<AccessProgram> Program =
+          AccessProgram::lower(*Transformed, Opts.Params)) {
+    AccessProgram::Result R = Program->run(Opts.Cache, Opts.MaxInstances);
+    switch (R.St) {
+    case AccessProgram::Status::Measured:
+      return R.MissRatio;
+    case AccessProgram::Status::NoCost:
+      return std::nullopt;
+    case AccessProgram::Status::OverCellCap:
+      break;
+    }
+  }
+  ++Fallbacks;
+  return interpret(*Transformed, Guard);
+}
+
+std::optional<double>
+CostModel::referenceMissRatio(const TransformSequence &Seq) const {
+  if (!Unusable.empty())
+    return std::nullopt;
+
+  OverflowGuard Guard;
+  ErrorOr<LoopNest> Transformed = applySequence(Seq, Nest);
+  if (Guard.triggered() || !Transformed)
+    return std::nullopt;
+  return interpret(*Transformed, Guard);
+}
+
+std::optional<double> CostModel::interpret(const LoopNest &Transformed,
+                                           const OverflowGuard &Guard) const {
   EvalConfig Config;
   Config.Params = Opts.Params;
   Config.RecordTrace = false;
@@ -151,7 +166,7 @@ std::optional<double> CostModel::measure(const TransformSequence &Seq) {
   // Deliberately no wall-clock budget: a time-based cutoff would make the
   // cost (and hence the search winner) machine-dependent.
   ArrayStore Store;
-  EvalResult R = evaluate(*Transformed, Config, Store);
+  EvalResult R = evaluate(Transformed, Config, Store);
   if (Guard.triggered() || R.LimitHit)
     return std::nullopt;
   if (R.Accesses.empty())

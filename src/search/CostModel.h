@@ -9,17 +9,26 @@
 /// \file
 /// The effectiveness half of the Section 5/6 optimizer story: rank legal
 /// transformation alternatives without committing to any. A candidate
-/// sequence is applied to a scratch copy of the nest, executed by the
-/// evaluator under *small* parameter bindings with access recording on,
-/// and the trace replayed through the set-associative cache simulator
-/// (src/cachesim/); the resulting miss ratio is the locality cost.
+/// sequence is applied to a scratch copy of the nest, executed under
+/// *small* parameter bindings, and its address stream fed through the
+/// set-associative cache simulator (src/cachesim/); the resulting miss
+/// ratio is the locality cost.
+///
+/// Execution goes through a lowered access program (AccessProgram.h):
+/// the nest compiled under the bindings into slot-indexed postfix code
+/// and run in two passes. Its result is bit-identical to the reference
+/// measurement - the tree-walking interpreter (eval/Evaluator.h) with
+/// access recording, replayed through the simulator - which stays
+/// available as referenceMissRatio() and is the only path for nests the
+/// lowering declines (array reads that steer addressing or bounds, a
+/// store above the cell cap).
 ///
 /// Measurements are memoized on the sequence's reduce()-canonicalized
 /// rendering, so peephole-equivalent prefixes (e.g. two adjacent
 /// Unimodular steps and their fused form) are costed exactly once across
 /// the whole beam - including across worker threads; the memo is
 /// mutex-guarded and a cache entry's value is deterministic because the
-/// evaluator and simulator are.
+/// program, the evaluator and the simulator are.
 ///
 /// Parallelize never changes the sequential trace, so the trailing
 /// Parallelize step the driver appends shares the prefix's measurement.
@@ -30,8 +39,10 @@
 #define IRLT_SEARCH_COSTMODEL_H
 
 #include "cachesim/Cache.h"
+#include "support/MathUtils.h"
 #include "transform/Sequence.h"
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -68,6 +79,17 @@ public:
   /// Miss ratio of the untransformed nest (the empty sequence).
   std::optional<double> baseline();
 
+  /// The reference measurement of \p Seq: the interpreter runs the
+  /// transformed nest with access recording and the trace is replayed
+  /// through the simulator. Not memoized. missRatio() must equal it in
+  /// every case; the differential tests and the fuzzer's --search oracle
+  /// hold it to that. Thread-safe.
+  std::optional<double> referenceMissRatio(const TransformSequence &Seq) const;
+
+  /// Measurements that fell back to the reference path: the lowering
+  /// declined the transformed nest, or its store was over the cell cap.
+  uint64_t referenceFallbacks() const { return Fallbacks.load(); }
+
   /// Why the model cannot run at all (e.g. the nest calls an opaque
   /// function the evaluator cannot bind); empty when usable.
   const std::string &unusableReason() const { return Unusable; }
@@ -83,8 +105,11 @@ private:
   std::string Unusable;
   std::mutex MemoMutex;
   std::unordered_map<std::string, std::optional<double>> Memo;
+  std::atomic<uint64_t> Fallbacks{0};
 
   std::optional<double> measure(const TransformSequence &Seq);
+  std::optional<double> interpret(const LoopNest &Transformed,
+                                  const OverflowGuard &Guard) const;
 };
 
 } // namespace search

@@ -9,8 +9,10 @@
 #include "cgen/NativeCheck.h"
 #include "eval/Verify.h"
 #include "fuzz/Fuzzer.h"
+#include "support/Printing.h"
 
 #include <functional>
+#include <set>
 
 using namespace irlt;
 using namespace irlt::witness;
@@ -103,6 +105,25 @@ CandidateOutcome irlt::witness::validateCandidate(
     R.Detail = "sequence failed to apply: " + Out.message();
     R.Why = Out.diags().front();
     R.ReproPath = dumpDisproof(Nest, Seq, R, "", Opts);
+    return R;
+  }
+
+  // Execution needs a value for every free symbol of both nests; the
+  // interpreter asserts on an unbound one. Symbolic sizes in the script
+  // (`block 1 3 bj bk bi`) introduce symbols no default binding names,
+  // and such a candidate can be neither confirmed nor disproved here.
+  std::set<std::string> Symbols = Nest.freeSymbols();
+  Symbols.merge(Out->freeSymbols());
+  for (const auto &Binding : Opts.Bindings) {
+    std::vector<std::string> Unbound;
+    for (const std::string &S : Symbols)
+      if (!Binding.count(S))
+        Unbound.push_back(S);
+    if (Unbound.empty())
+      continue;
+    R.Status = ValidateStatus::Inconclusive;
+    R.Detail = "binding " + bindingStr(Binding) + " leaves symbol(s) " +
+               join(Unbound, ", ") + " unbound; cannot execute";
     return R;
   }
 

@@ -19,7 +19,9 @@
 ///                  the disproof is dumped as a replayable reproducer in
 ///                  the fuzzer's trio format;
 ///   Inconclusive - no binding disproved the candidate but at least one
-///                  ran out of budget before finishing.
+///                  ran out of budget before finishing, or a binding
+///                  leaves a free symbol of the original or transformed
+///                  nest unbound (the detail names the symbols).
 ///
 /// validateLadder() strings the verdicts into graceful degradation:
 /// candidates are tried best-first, a Disproved candidate falls through

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Pipeline.h"
 #include "engine/Engine.h"
 
 #include "fuzz/Fuzzer.h"
@@ -143,6 +144,39 @@ TEST(Engine, ServesCorpusInOrderWithPerRequestErrors) {
   EXPECT_FALSE(Bad->boolOr("ok", true));
   ASSERT_NE(Bad->find("error"), nullptr);
   EXPECT_FALSE(Bad->find("error")->stringOr("message").empty());
+}
+
+TEST(Engine, ValidateWithSymbolicBlockSizesIsInconclusiveNotACrash) {
+  // The Figure 7 script blocks with symbolic sizes bj, bk, bi, which no
+  // validation binding names: the interpreter cannot run the candidate,
+  // so the verdict must say so instead of aborting the worker.
+  api::Pipeline P;
+  EngineOptions EO;
+  StageSampler Sampler;
+  std::string Line = requestLine(
+      std::string("\"id\": \"fig7\", \"nest\": \"") + MatmulEscaped +
+      "\", \"script\": " +
+      jsonStr("permute 3 1 2\nblock 1 3 bj bk bi\nparallelize 1 3\n"
+              "permute 1 3 2 4 5 6\ncoalesce 1 2 jic\n") +
+      ", \"legality\": true, \"validate\": 5000");
+  RequestOutcome O = processRequest(P, EO, Line, 1, Sampler);
+  ASSERT_FALSE(O.Error) << O.Record;
+  ErrorOr<json::JsonValue> V = json::JsonValue::parse(O.Record);
+  ASSERT_TRUE(static_cast<bool>(V)) << O.Record;
+  EXPECT_TRUE(V->boolOr("ok", false));
+  EXPECT_TRUE(V->boolOr("legal", false)) << O.Record;
+  const json::JsonValue *Val = V->find("validate");
+  ASSERT_NE(Val, nullptr) << O.Record;
+  const json::JsonValue *Outcomes = Val->find("outcomes");
+  ASSERT_NE(Outcomes, nullptr);
+  ASSERT_EQ(Outcomes->elements().size(), 1u);
+  const json::JsonValue &First = Outcomes->elements().front();
+  EXPECT_EQ(First.stringOr("status"), "inconclusive");
+  std::string Detail = First.stringOr("detail");
+  for (const char *Sym : {"bi", "bj", "bk"})
+    EXPECT_NE(Detail.find(Sym), std::string::npos) << Detail;
+  // An inconclusive candidate is still the one chosen.
+  EXPECT_EQ(Val->intOr("chosen", -1), 0);
 }
 
 TEST(Engine, ResultStreamIsByteIdenticalAcrossJobCounts) {

@@ -1,0 +1,57 @@
+//===- tests/support/BindingsTest.cpp - Binding-list grammar --------------===//
+
+#include "support/Bindings.h"
+
+#include <gtest/gtest.h>
+
+using namespace irlt;
+
+namespace {
+
+std::optional<std::map<std::string, int64_t>> parse(const std::string &S) {
+  std::map<std::string, int64_t> Out;
+  if (!parseBindings(S, Out))
+    return std::nullopt;
+  return Out;
+}
+
+TEST(Bindings, ParsesNameValueLists) {
+  auto B = parse("n=32,b=4,m=-7");
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(*B, (std::map<std::string, int64_t>{
+                    {"n", 32}, {"b", 4}, {"m", -7}}));
+  EXPECT_EQ(parse("n=1,n=2")->at("n"), 2); // later items win
+  EXPECT_TRUE(parse("")->empty());
+}
+
+TEST(Bindings, Int64RangeIsExact) {
+  EXPECT_EQ(parse("n=9223372036854775807")->at("n"), INT64_MAX);
+  EXPECT_EQ(parse("n=-9223372036854775808")->at("n"), INT64_MIN);
+  EXPECT_FALSE(parse("n=9223372036854775808"));
+  EXPECT_FALSE(parse("n=-9223372036854775809"));
+  EXPECT_FALSE(parse("n=99999999999999999999999"));
+}
+
+TEST(Bindings, RejectsGarbage) {
+  EXPECT_FALSE(parse("n=abc"));
+  EXPECT_FALSE(parse("n=12x"));
+  EXPECT_FALSE(parse("n"));
+  EXPECT_FALSE(parse("=5"));
+  EXPECT_FALSE(parse("n="));
+  EXPECT_FALSE(parse("n=-"));
+  EXPECT_FALSE(parse("n=--5"));
+}
+
+TEST(Bindings, RejectsEmptyItems) {
+  EXPECT_FALSE(parse(",n=1"));
+  EXPECT_FALSE(parse("n=1,,m=2"));
+}
+
+TEST(Bindings, RejectsPlusSignsAndSpaces) {
+  EXPECT_FALSE(parse("n=+5"));
+  EXPECT_FALSE(parse("n= 5"));
+  EXPECT_FALSE(parse("n=5 "));
+  EXPECT_FALSE(parse("n=\t5"));
+}
+
+} // namespace

@@ -35,6 +35,7 @@
 #include "api/Pipeline.h"
 #include "cgen/Cgen.h"
 #include "cgen/NativeRunner.h"
+#include "support/Bindings.h"
 #include "support/Json.h"
 #include "support/Printing.h"
 
@@ -64,28 +65,6 @@ bool readFile(const std::string &Path, std::string &Out) {
   std::ostringstream SS;
   SS << In.rdbuf();
   Out = SS.str();
-  return true;
-}
-
-bool parseBindings(const std::string &Spec,
-                   std::map<std::string, int64_t> &Out) {
-  std::istringstream SS(Spec);
-  std::string Item;
-  while (std::getline(SS, Item, ',')) {
-    size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size())
-      return false;
-    try {
-      size_t Used = 0;
-      std::string Val = Item.substr(Eq + 1);
-      int64_t V = std::stoll(Val, &Used);
-      if (Used != Val.size())
-        return false;
-      Out[Item.substr(0, Eq)] = V;
-    } catch (...) {
-      return false;
-    }
-  }
   return true;
 }
 

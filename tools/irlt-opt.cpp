@@ -74,6 +74,7 @@
 #include "cgen/Cgen.h"
 #include "deps/CrossCheck.h"
 #include "deps/ScopIO.h"
+#include "support/Bindings.h"
 #include "support/Json.h"
 
 #include <cstdio>
@@ -103,42 +104,6 @@ bool readFile(const std::string &Path, std::string &Out) {
   std::ostringstream SS;
   SS << In.rdbuf();
   Out = SS.str();
-  return true;
-}
-
-/// Parses "n=32,b=4". Values are validated by hand: std::stoll would
-/// throw (and the tool would die uncaught) on `--verify n=abc` or an
-/// out-of-int64 literal.
-bool parseBindings(const std::string &Spec,
-                   std::map<std::string, int64_t> &Out) {
-  std::istringstream SS(Spec);
-  std::string Item;
-  while (std::getline(SS, Item, ',')) {
-    size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size())
-      return false;
-    std::string Val = Item.substr(Eq + 1);
-    size_t P = Val[0] == '-' ? 1 : 0;
-    if (P == Val.size())
-      return false;
-    uint64_t Mag = 0;
-    const uint64_t Limit = UINT64_C(1) << 63; // |INT64_MIN|
-    for (; P < Val.size(); ++P) {
-      if (Val[P] < '0' || Val[P] > '9')
-        return false;
-      uint64_t D = static_cast<uint64_t>(Val[P] - '0');
-      if (Mag > (Limit - D) / 10)
-        return false;
-      Mag = Mag * 10 + D;
-    }
-    bool Neg = Val[0] == '-';
-    if (!Neg && Mag == Limit)
-      return false;
-    Out[Item.substr(0, Eq)] =
-        Neg ? (Mag == Limit ? INT64_MIN
-                            : -static_cast<int64_t>(Mag))
-            : static_cast<int64_t>(Mag);
-  }
   return true;
 }
 

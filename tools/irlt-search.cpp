@@ -47,8 +47,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Pipeline.h"
+#include "support/Bindings.h"
 #include "support/Json.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -113,28 +115,6 @@ bool parseIntList(const std::string &S, std::vector<int64_t> &Out) {
     Out.push_back(V);
   }
   return !Out.empty();
-}
-
-bool parseBindings(const std::string &Spec,
-                   std::map<std::string, int64_t> &Out) {
-  std::istringstream SS(Spec);
-  std::string Item;
-  while (std::getline(SS, Item, ',')) {
-    size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size())
-      return false;
-    std::string Val = Item.substr(Eq + 1);
-    int64_t V = 0;
-    for (char C : Val) {
-      if (C < '0' || C > '9')
-        return false;
-      if (V > (INT64_MAX - (C - '0')) / 10)
-        return false;
-      V = V * 10 + (C - '0');
-    }
-    Out[Item.substr(0, Eq)] = V;
-  }
-  return true;
 }
 
 void printCandidate(const char *Tag, const search::ScoredSequence &C) {
@@ -247,7 +227,10 @@ int main(int argc, char **argv) {
       }
     } else if (A == "--params") {
       const char *V = nextArg("--params");
-      if (!V || !parseBindings(V, Opts.CostParams)) {
+      // Cost bindings are extents and tile sizes: negatives are rejected.
+      if (!V || !parseBindings(V, Opts.CostParams) ||
+          std::any_of(Opts.CostParams.begin(), Opts.CostParams.end(),
+                      [](const auto &KV) { return KV.second < 0; })) {
         std::fprintf(stderr, "error: malformed --params bindings\n");
         return 1;
       }
