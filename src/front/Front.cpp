@@ -10,6 +10,7 @@
 #include "engine/Engine.h"
 #include "ir/NestHash.h"
 #include "serve/Client.h"
+#include "serve/Daemon.h"
 #include "support/Json.h"
 #include "support/Lru.h"
 #include "support/MathUtils.h"
@@ -19,24 +20,19 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 using namespace irlt;
 using namespace irlt::front;
+using serve::ConnPtr;
 
 namespace {
 
@@ -44,19 +40,6 @@ using Clock = std::chrono::steady_clock;
 
 std::chrono::milliseconds ms(uint64_t N) {
   return std::chrono::milliseconds(N);
-}
-
-void setCloexec(int Fd) {
-  int Flags = fcntl(Fd, F_GETFD);
-  if (Flags >= 0)
-    fcntl(Fd, F_SETFD, Flags | FD_CLOEXEC);
-}
-
-void setSendTimeout(int Fd, uint64_t Millis) {
-  timeval Tv{};
-  Tv.tv_sec = static_cast<time_t>(Millis / 1000);
-  Tv.tv_usec = static_cast<suseconds_t>((Millis % 1000) * 1000);
-  ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv));
 }
 
 /// The adoption healthz call (ClientConn::call with a timeout) leaves
@@ -67,20 +50,6 @@ void setSendTimeout(int Fd, uint64_t Millis) {
 void clearRecvTimeout(int Fd) {
   timeval Tv{};
   ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-}
-
-bool writeAll(int Fd, const std::string &Data) {
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
 }
 
 /// FNV-1a (64-bit) over raw bytes - the fallback route for requests
@@ -94,32 +63,6 @@ uint64_t fnv64(std::string_view S) {
   }
   return H;
 }
-
-/// One client connection (identical role to the serve-side Conn): the
-/// reader thread and any number of in-flight shard requests share it
-/// via shared_ptr; the last reference closes the socket.
-struct Conn {
-  int Fd = -1;
-  uint64_t NextSeq = 0; ///< reader thread only
-
-  /// Reorder buffer: responses are written strictly in request order
-  /// even though shards complete out of order.
-  std::mutex WriteMu;
-  std::map<uint64_t, std::string> Pending;
-  uint64_t NextWrite = 0;
-  bool Dead = false;
-
-  ~Conn() {
-    if (Fd >= 0)
-      ::close(Fd);
-  }
-};
-using ConnPtr = std::shared_ptr<Conn>;
-
-struct ReaderSlot {
-  std::thread T;
-  std::atomic<bool> Done{false};
-};
 
 /// One request in flight to a worker. The response reader pops these in
 /// FIFO order (the worker answers one connection's frames in order - the
@@ -187,42 +130,40 @@ struct Front::Impl {
   std::mutex RouteMu;
   LruMap<unsigned> RouteCache;
 
-  int ListenFd = -1;
-  int BoundPort = 0;
-  int PipeR = -1, PipeW = -1;
-  std::atomic<bool> Draining{false};
   std::atomic<bool> StopSupervisor{false};
-
-  std::mutex ConnMu;
-  std::set<int> LiveFds;
-
-  std::thread AcceptThread;
-  std::vector<std::unique_ptr<ReaderSlot>> Readers; // accept thread only
   std::thread SupervisorThread;
 
   std::vector<std::unique_ptr<Shard>> Shards;
 
+  /// Declared last: its destructor joins the client reader threads,
+  /// whose dispatch() reaches every member above.
+  serve::Daemon Core;
+
   explicit Impl(FrontOptions O)
       : Opts(std::move(O)), RouteP(api::PipelineOptions{false, {}, 0}),
-        RouteCache(Opts.RouteCacheCapacity) {}
+        RouteCache(Opts.RouteCacheCapacity),
+        Core(serve::DaemonConfig{"front", Opts.SocketPath, Opts.TcpPort,
+                                 Opts.MaxConns, Opts.MaxFrameBytes,
+                                 Opts.WriteTimeoutMillis,
+                                 Opts.Faults.ShortRead},
+             Stats, [this](const ConnPtr &C, uint64_t Seq,
+                           std::string Payload) {
+               dispatch(C, Seq, std::move(Payload));
+             }) {}
 
   // Lifecycle.
   ErrorOr<bool> startImpl();
-  ErrorOr<bool> bindSocket();
   void cleanupFailedStart();
   std::vector<std::string> workerArgs(const Shard &S) const;
   bool spawnWorker(Shard &S);
   bool tryAdopt(Shard &S);
 
   // Data path.
-  void acceptLoop();
-  void readerLoop(ConnPtr C);
   void dispatch(const ConnPtr &C, uint64_t Seq, std::string Payload);
   unsigned routeShard(const std::string &NestSrc, const std::string &Payload);
   int submit(Shard &S, const ConnPtr &C, uint64_t Seq, uint64_t LineNo,
              const std::string &Id, const std::string &Payload);
   void respReaderLoop(Shard &S, uint64_t Gen, int Fd);
-  void deliver(const ConnPtr &C, uint64_t Seq, const std::string &Record);
 
   // Failure handling.
   std::deque<PendingReq> markDownLocked(Shard &S);
@@ -307,7 +248,7 @@ bool Front::Impl::spawnWorker(Shard &S) {
   int Out[2];
   if (::pipe(Out) != 0)
     return false;
-  setCloexec(Out[0]);
+  serve::setCloexec(Out[0]);
 
   pid_t Pid = ::fork();
   if (Pid < 0) {
@@ -359,7 +300,7 @@ bool Front::Impl::tryAdopt(Shard &S) {
   int DataFd = Data->release();
   clearRecvTimeout(DataFd);
   if (Opts.WriteTimeoutMillis)
-    setSendTimeout(DataFd, Opts.WriteTimeoutMillis);
+    serve::setSendTimeout(DataFd, Opts.WriteTimeoutMillis);
 
   uint64_t Gen;
   {
@@ -426,11 +367,11 @@ void Front::Impl::markDown(Shard &S, uint64_t Gen) {
 void Front::Impl::flushOrphans(Shard &S, std::deque<PendingReq> &Orphans) {
   for (PendingReq &P : Orphans) {
     ++Stats.ShardDownRejects;
-    deliver(P.C, P.Seq,
-            engine::makeErrorRecord(
-                "irlt-front", P.Id, engine::errkind::ShardDown,
-                "shard " + std::to_string(S.Index) +
-                    " worker died with the request in flight; retry"));
+    Core.deliver(P.C, P.Seq,
+                 engine::makeErrorRecord(
+                     "irlt-front", P.Id, engine::errkind::ShardDown,
+                     "shard " + std::to_string(S.Index) +
+                         " worker died with the request in flight; retry"));
   }
 }
 
@@ -465,7 +406,7 @@ int Front::Impl::submit(Shard &S, const ConnPtr &C, uint64_t Seq,
     S.Pending.push_back(std::move(P));
     // Enqueue-then-write under the lock: the FIFO entry must be visible
     // before any response byte for it can arrive at the reader.
-    if (writeAll(S.DataFd, Frame))
+    if (serve::writeAll(S.DataFd, Frame))
       return 0;
     // Write failure: the worker end is gone, or wedged past
     // SO_SNDTIMEO. Fail the shard; the caller reports this request,
@@ -478,7 +419,7 @@ int Front::Impl::submit(Shard &S, const ConnPtr &C, uint64_t Seq,
 }
 
 void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
-  serve::FrameReader FR(2 * Opts.MaxFrameBytes + 4096);
+  serve::FrameReader Replies(2 * Opts.MaxFrameBytes + 4096);
   char Buf[65536];
   bool Fail = false;
   bool Stale = false;
@@ -486,7 +427,7 @@ void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
     std::string Payload;
     serve::FrameReader::Status St = serve::FrameReader::Status::NeedMore;
     while (!Fail && !Stale &&
-           (St = FR.next(Payload)) == serve::FrameReader::Status::Frame) {
+           (St = Replies.next(Payload)) == serve::FrameReader::Status::Frame) {
       PendingReq P;
       {
         std::lock_guard<std::mutex> Lock(S.Mu);
@@ -505,7 +446,7 @@ void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
       }
       ++S.Served;
       ++Stats.Served;
-      deliver(P.C, P.Seq, Payload);
+      Core.deliver(P.C, P.Seq, Payload);
       Payload.clear();
     }
     if (Fail || Stale || St == serve::FrameReader::Status::Error)
@@ -520,37 +461,17 @@ void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
     }
     if (N == 0)
       break; // EOF: the worker died (or markDown shut the socket down)
-    FR.feed(Buf, static_cast<size_t>(N));
+    Replies.feed(Buf, static_cast<size_t>(N));
   }
   if (std::getenv("IRLT_FRONT_DEBUG"))
     std::fprintf(stderr,
                  "respReader exit: shard=%u gen=%llu fail=%d stale=%d "
                  "err=%s errno=%d\n",
                  S.Index, (unsigned long long)Gen, (int)Fail, (int)Stale,
-                 serve::FrameReader::errorName(FR.error()), errno);
+                 serve::FrameReader::errorName(Replies.error()), errno);
   // A no-op when the supervisor failed this generation first.
   markDown(S, Gen);
   ::close(Fd);
-}
-
-//===----------------------------------------------------------------------===//
-// Response delivery (per-connection completed-prefix reorder buffer)
-//===----------------------------------------------------------------------===//
-
-void Front::Impl::deliver(const ConnPtr &C, uint64_t Seq,
-                          const std::string &Record) {
-  std::lock_guard<std::mutex> Lock(C->WriteMu);
-  C->Pending.emplace(Seq, Record);
-  while (!C->Pending.empty() && C->Pending.begin()->first == C->NextWrite) {
-    if (!C->Dead) {
-      if (!writeAll(C->Fd, serve::encodeFrame(C->Pending.begin()->second))) {
-        C->Dead = true;
-        ++Stats.WriteFailures;
-      }
-    }
-    C->Pending.erase(C->Pending.begin());
-    ++C->NextWrite;
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -604,21 +525,22 @@ void Front::Impl::dispatch(const ConnPtr &C, uint64_t Seq,
     if (Op == "healthz" || Op == "statz" || Op == "persist") {
       ++Stats.InlineOps;
       if (Op == "healthz")
-        deliver(C, Seq, healthzRecord(Id));
+        Core.deliver(C, Seq, healthzRecord(Id));
       else if (Op == "statz")
-        deliver(C, Seq, statzRecord(Id));
+        Core.deliver(C, Seq, statzRecord(Id));
       else
-        deliver(C, Seq, persistRecord(Id));
+        Core.deliver(C, Seq, persistRecord(Id));
       return;
     }
     NestSrc = Doc->stringOr("nest");
   }
 
-  if (Draining.load()) {
+  if (Core.draining()) {
     ++Stats.DrainRejects;
-    deliver(C, Seq,
-            engine::makeErrorRecord("irlt-front", Id, engine::errkind::Draining,
-                                    "front is draining; request rejected"));
+    Core.deliver(C, Seq,
+                 engine::makeErrorRecord(
+                     "irlt-front", Id, engine::errkind::Draining,
+                     "front is draining; request rejected"));
     return;
   }
 
@@ -629,74 +551,20 @@ void Front::Impl::dispatch(const ConnPtr &C, uint64_t Seq,
     return;
   if (R == 1) {
     ++Stats.WindowShed;
-    deliver(C, Seq,
-            engine::makeErrorRecord(
-                "irlt-front", Id, engine::errkind::Overloaded,
-                "shard " + std::to_string(Idx) + " window full (" +
-                    std::to_string(Opts.WindowCapacity) +
-                    " outstanding); retry later"));
+    Core.deliver(C, Seq,
+                 engine::makeErrorRecord(
+                     "irlt-front", Id, engine::errkind::Overloaded,
+                     "shard " + std::to_string(Idx) + " window full (" +
+                         std::to_string(Opts.WindowCapacity) +
+                         " outstanding); retry later"));
     return;
   }
   ++Stats.ShardDownRejects;
-  deliver(C, Seq,
-          engine::makeErrorRecord(
-              "irlt-front", Id, engine::errkind::ShardDown,
-              "shard " + std::to_string(Idx) +
-                  " is down (worker restarting); retry"));
-}
-
-//===----------------------------------------------------------------------===//
-// Client reader thread: socket -> FrameReader -> dispatch
-//===----------------------------------------------------------------------===//
-
-void Front::Impl::readerLoop(ConnPtr C) {
-  serve::FrameReader FR(Opts.MaxFrameBytes);
-  char Buf[4096];
-  size_t ReadLen = Opts.Faults.ShortRead ? 1 : sizeof(Buf);
-
-  for (;;) {
-    ssize_t N = ::read(C->Fd, Buf, ReadLen);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (N == 0) {
-      if (FR.midFrame()) {
-        ++Stats.BadFrames;
-        deliver(C, C->NextSeq++,
-                engine::makeErrorRecord(
-                    "irlt-front", "-", engine::errkind::BadFrame,
-                    "truncated frame: connection closed with " +
-                        std::to_string(FR.bufferedBytes()) +
-                        " bytes of an incomplete frame"));
-      }
-      break;
-    }
-    FR.feed(Buf, static_cast<size_t>(N));
-    std::string Payload;
-    serve::FrameReader::Status S;
-    while ((S = FR.next(Payload)) == serve::FrameReader::Status::Frame) {
-      ++Stats.FramesIn;
-      uint64_t Seq = C->NextSeq++;
-      dispatch(C, Seq, std::move(Payload));
-      Payload.clear();
-    }
-    if (S == serve::FrameReader::Status::Error) {
-      ++Stats.BadFrames;
-      deliver(C, C->NextSeq++,
-              engine::makeErrorRecord(
-                  "irlt-front", "-", engine::errkind::BadFrame,
-                  std::string("framing error: ") +
-                      serve::FrameReader::errorName(FR.error())));
-      break;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    LiveFds.erase(C->Fd);
-  }
+  Core.deliver(C, Seq,
+               engine::makeErrorRecord(
+                   "irlt-front", Id, engine::errkind::ShardDown,
+                   "shard " + std::to_string(Idx) +
+                       " is down (worker restarting); retry"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -811,7 +679,7 @@ void Front::Impl::superviseShard(Shard &S, Clock::time_point Now) {
     return;
   }
 
-  if (Draining.load())
+  if (Core.draining())
     return; // no restarts while the front is shutting down
 
   // 4. A starting worker: poll for its first healthy probe.
@@ -900,8 +768,8 @@ std::string Front::Impl::healthzRecord(const std::string &Id) {
   json::beginToolRecord(W, "irlt-front");
   W.field("record", "healthz");
   W.field("id", Id);
-  W.field("ok", UpCount == Shards.size() && !Draining.load());
-  W.field("draining", Draining.load());
+  W.field("ok", UpCount == Shards.size() && !Core.draining());
+  W.field("draining", Core.draining());
   W.field("shards", static_cast<uint64_t>(Shards.size()));
   W.field("shards_up", UpCount);
   W.key("shard_status").beginArray();
@@ -970,7 +838,7 @@ std::string Front::Impl::statzRecord(const std::string &Id) {
   W.field("record", "statz");
   W.field("id", Id);
   W.field("ok", true);
-  W.field("draining", Draining.load());
+  W.field("draining", Core.draining());
   W.field("shards", static_cast<uint64_t>(Shards.size()));
   W.field("shards_up", UpCount);
   W.key("counters").beginObject();
@@ -1048,126 +916,8 @@ std::string Front::Impl::persistRecord(const std::string &Id) {
 }
 
 //===----------------------------------------------------------------------===//
-// Accept loop
-//===----------------------------------------------------------------------===//
-
-void Front::Impl::acceptLoop() {
-  for (;;) {
-    pollfd Fds[2] = {{ListenFd, POLLIN, 0}, {PipeR, POLLIN, 0}};
-    if (::poll(Fds, 2, -1) < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (Fds[1].revents) {
-      Draining.store(true);
-      break;
-    }
-    if (!(Fds[0].revents & POLLIN))
-      continue;
-
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    setCloexec(Fd);
-
-    for (size_t I = 0; I < Readers.size();) {
-      if (Readers[I]->Done.load()) {
-        Readers[I]->T.join();
-        Readers.erase(Readers.begin() + static_cast<ptrdiff_t>(I));
-      } else {
-        ++I;
-      }
-    }
-
-    if (Opts.WriteTimeoutMillis)
-      setSendTimeout(Fd, Opts.WriteTimeoutMillis);
-
-    if (Readers.size() >= Opts.MaxConns) {
-      ++Stats.ConnsRejected;
-      writeAll(Fd, serve::encodeFrame(engine::makeErrorRecord(
-                       "irlt-front", "-", engine::errkind::Overloaded,
-                       "connection limit reached (" +
-                           std::to_string(Opts.MaxConns) + ")")));
-      ::close(Fd);
-      continue;
-    }
-
-    ++Stats.ConnsAccepted;
-    auto C = std::make_shared<Conn>();
-    C->Fd = Fd;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      LiveFds.insert(Fd);
-    }
-    auto Slot = std::make_unique<ReaderSlot>();
-    ReaderSlot *Raw = Slot.get();
-    Raw->T = std::thread([this, C, Raw]() mutable {
-      readerLoop(std::move(C));
-      Raw->Done.store(true);
-    });
-    Readers.push_back(std::move(Slot));
-  }
-
-  ::close(ListenFd);
-  ListenFd = -1;
-}
-
-//===----------------------------------------------------------------------===//
 // Startup / shutdown
 //===----------------------------------------------------------------------===//
-
-ErrorOr<bool> Front::Impl::bindSocket() {
-  if (!Opts.SocketPath.empty() && Opts.TcpPort >= 0)
-    return Failure(Diag::error("front: --socket and --port are exclusive"));
-  if (Opts.SocketPath.empty() && Opts.TcpPort < 0)
-    return Failure(Diag::error("front: need --socket PATH or --port N"));
-
-  if (!Opts.SocketPath.empty()) {
-    sockaddr_un Addr{};
-    Addr.sun_family = AF_UNIX;
-    if (Opts.SocketPath.size() >= sizeof(Addr.sun_path))
-      return Failure(Diag::error("front: socket path too long: '" +
-                                 Opts.SocketPath + "'"));
-    std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
-                Opts.SocketPath.size() + 1);
-    ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (ListenFd < 0)
-      return Failure(Diag::error("front: socket(AF_UNIX) failed"));
-    setCloexec(ListenFd);
-    ::unlink(Opts.SocketPath.c_str());
-    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-        0)
-      return Failure(Diag::error("front: cannot bind '" + Opts.SocketPath +
-                                 "': " + std::strerror(errno)));
-  } else {
-    ListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (ListenFd < 0)
-      return Failure(Diag::error("front: socket(AF_INET) failed"));
-    setCloexec(ListenFd);
-    int One = 1;
-    ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    Addr.sin_port = htons(static_cast<uint16_t>(Opts.TcpPort));
-    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-        0)
-      return Failure(Diag::error(
-          "front: cannot bind 127.0.0.1:" + std::to_string(Opts.TcpPort) +
-          ": " + std::strerror(errno)));
-    sockaddr_in Bound{};
-    socklen_t Len = sizeof(Bound);
-    if (::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Bound), &Len) ==
-        0)
-      BoundPort = ntohs(Bound.sin_port);
-  }
-
-  if (::listen(ListenFd, 64) < 0)
-    return Failure(Diag::error(std::string("front: listen failed: ") +
-                               std::strerror(errno)));
-  return true;
-}
 
 void Front::Impl::cleanupFailedStart() {
   for (auto &SP : Shards) {
@@ -1201,12 +951,7 @@ void Front::Impl::cleanupFailedStart() {
     }
   }
   Shards.clear();
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  if (!Opts.SocketPath.empty())
-    ::unlink(Opts.SocketPath.c_str());
+  Core.closeListener();
 }
 
 ErrorOr<bool> Front::Impl::startImpl() {
@@ -1234,10 +979,10 @@ ErrorOr<bool> Front::Impl::startImpl() {
     Shards.push_back(std::move(S));
   }
 
-  ErrorOr<bool> Bound = bindSocket();
-  if (!Bound) {
+  ErrorOr<bool> Listening = Core.openListener();
+  if (!Listening) {
     cleanupFailedStart();
-    return Bound;
+    return Listening;
   }
 
   // Spawn every worker first, then wait for each: they boot
@@ -1283,18 +1028,8 @@ ErrorOr<bool> Front::Impl::startImpl() {
     }
   }
 
-  int Pipe[2];
-  if (::pipe(Pipe) != 0) {
-    cleanupFailedStart();
-    return Failure(Diag::error("front: pipe() failed"));
-  }
-  PipeR = Pipe[0];
-  PipeW = Pipe[1];
-  setCloexec(PipeR);
-  setCloexec(PipeW);
-
   SupervisorThread = std::thread([this] { superviseLoop(); });
-  AcceptThread = std::thread([this] { acceptLoop(); });
+  Core.startAccepting();
   return true;
 }
 
@@ -1393,36 +1128,19 @@ Front::Front(FrontOptions Opts) : M(std::make_unique<Impl>(std::move(Opts))) {}
 Front::~Front() {
   // Safety net for a started-but-never-run() front: drain so every
   // thread and worker is reclaimed before members are torn down.
-  if (M->AcceptThread.joinable()) {
+  if (M->Core.accepting()) {
     requestDrain();
     run();
   }
-  if (M->PipeR >= 0)
-    ::close(M->PipeR);
-  if (M->PipeW >= 0)
-    ::close(M->PipeW);
-  if (M->ListenFd >= 0)
-    ::close(M->ListenFd);
-  if (!M->Opts.SocketPath.empty())
-    ::unlink(M->Opts.SocketPath.c_str());
 }
 
 ErrorOr<bool> Front::start() { return M->startImpl(); }
 
 bool Front::run() {
   Impl &I = *M;
-  I.AcceptThread.join();
-
   // Drain, phase 1: wake every blocked client reader; buffered complete
   // frames still dispatch ("draining" rejects from here on).
-  {
-    std::lock_guard<std::mutex> Lock(I.ConnMu);
-    for (int Fd : I.LiveFds)
-      ::shutdown(Fd, SHUT_RD);
-  }
-  for (auto &Slot : I.Readers)
-    Slot->T.join();
-  I.Readers.clear();
+  I.Core.drainConnections();
 
   // Phase 2: every routed request resolves. The supervisor stays up so
   // a worker that dies or wedges mid-drain still fails structured
@@ -1453,14 +1171,9 @@ bool Front::run() {
   return I.Stats.WriteFailures.load() == 0;
 }
 
-void Front::requestDrain() {
-  if (M->PipeW >= 0) {
-    char B = 1;
-    [[maybe_unused]] ssize_t N = ::write(M->PipeW, &B, 1);
-  }
-}
+void Front::requestDrain() { M->Core.requestDrain(); }
 
-int Front::boundPort() const { return M->BoundPort; }
+int Front::boundPort() const { return M->Core.boundPort(); }
 
 unsigned Front::shardCount() const {
   return static_cast<unsigned>(M->Shards.size());

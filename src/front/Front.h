@@ -57,6 +57,7 @@
 #ifndef IRLT_FRONT_FRONT_H
 #define IRLT_FRONT_FRONT_H
 
+#include "serve/Daemon.h"
 #include "serve/Frame.h"
 #include "support/ErrorOr.h"
 #include "support/FaultInject.h"
@@ -124,21 +125,17 @@ struct FrontOptions {
   FaultConfig Faults;
 };
 
-/// Monotonic counters (statz / the tool's exit record). Reconciliation:
+/// Monotonic counters (statz / the tool's exit record); the connection
+/// counters come from the core (serve/Daemon.h). Reconciliation:
 ///   FramesIn == InlineOps + Routed + DrainRejects
 ///   Routed   == Served + WindowShed + ShardDownRejects   (after drain)
-struct FrontStats {
-  std::atomic<uint64_t> ConnsAccepted{0};
-  std::atomic<uint64_t> ConnsRejected{0};
-  std::atomic<uint64_t> FramesIn{0};
+struct FrontStats : serve::ConnStats {
   std::atomic<uint64_t> InlineOps{0};
   std::atomic<uint64_t> Routed{0};
   std::atomic<uint64_t> WindowShed{0};       ///< "overloaded" rejects
   std::atomic<uint64_t> DrainRejects{0};     ///< "draining" rejects
   std::atomic<uint64_t> ShardDownRejects{0}; ///< "shard_down" rejects
   std::atomic<uint64_t> Served{0};           ///< worker responses relayed
-  std::atomic<uint64_t> BadFrames{0};
-  std::atomic<uint64_t> WriteFailures{0};
   std::atomic<uint64_t> Restarts{0};      ///< worker restarts performed
   std::atomic<uint64_t> ProbeFailures{0}; ///< failed/timed-out probes
   std::atomic<uint64_t> HangKills{0};     ///< pending-age SIGKILLs

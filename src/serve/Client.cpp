@@ -6,13 +6,14 @@
 
 #include "serve/Client.h"
 
+#include "serve/Daemon.h"
+
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -20,15 +21,6 @@
 
 using namespace irlt;
 using namespace irlt::serve;
-
-/// Client sockets must not leak into worker processes the front forks:
-/// an inherited fd would hold a dead shard's connection open and mask
-/// the EOF its response reader relies on for crash detection.
-static void setCloexecFd(int Fd) {
-  int Flags = fcntl(Fd, F_GETFD);
-  if (Flags >= 0)
-    fcntl(Fd, F_SETFD, Flags | FD_CLOEXEC);
-}
 
 ClientConn &ClientConn::operator=(ClientConn &&O) noexcept {
   if (this != &O) {
@@ -46,34 +38,20 @@ ClientConn::~ClientConn() {
     ::close(Fd);
 }
 
-static bool writeAllFd(int Fd, const char *Data, size_t Len) {
-  size_t Off = 0;
-  while (Off < Len) {
-    ssize_t N = ::send(Fd, Data + Off, Len - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
 bool ClientConn::sendFrame(std::string_view Payload, uint64_t StallMillis) {
   std::string Frame = encodeFrame(Payload);
   if (!StallMillis)
-    return writeAllFd(Fd, Frame.data(), Frame.size());
+    return writeAll(Fd, Frame);
   for (char B : Frame) {
     std::this_thread::sleep_for(std::chrono::milliseconds(StallMillis));
-    if (!writeAllFd(Fd, &B, 1))
+    if (!writeAll(Fd, std::string_view(&B, 1)))
       return false;
   }
   return true;
 }
 
 bool ClientConn::sendRaw(std::string_view Bytes) {
-  return writeAllFd(Fd, Bytes.data(), Bytes.size());
+  return writeAll(Fd, Bytes);
 }
 
 void ClientConn::finishWrites() {
@@ -132,7 +110,7 @@ ErrorOr<ClientConn> serve::connectUnix(const std::string &Path) {
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (Fd < 0)
     return Failure(Diag::error("client: socket(AF_UNIX) failed"));
-  setCloexecFd(Fd);
+  setCloexec(Fd);
   if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
     int E = errno;
     ::close(Fd);
@@ -146,7 +124,7 @@ ErrorOr<ClientConn> serve::connectTcp(int Port) {
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (Fd < 0)
     return Failure(Diag::error("client: socket(AF_INET) failed"));
-  setCloexecFd(Fd);
+  setCloexec(Fd);
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);

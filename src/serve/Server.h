@@ -13,6 +13,10 @@
 /// line produces a byte-identical result record in both tools, with a
 /// cold, warm, or journal-restored cache, at any worker count.
 ///
+/// The connection half - listen, accept, framing, response ordering and
+/// the first drain phase - is serve::Daemon (serve/Daemon.h), shared with
+/// irlt-front; this class adds admission, workers and the inline ops.
+///
 /// Robustness structure:
 ///
 ///   admission    the queue is bounded (QueueCapacity); a full queue
@@ -53,7 +57,7 @@
 #ifndef IRLT_SERVE_SERVER_H
 #define IRLT_SERVE_SERVER_H
 
-#include "serve/Frame.h"
+#include "serve/Daemon.h"
 #include "serve/Journal.h"
 #include "support/FaultInject.h"
 
@@ -104,13 +108,11 @@ struct ServeOptions {
 };
 
 /// Monotonic counters, readable while the server runs (statz) and after
-/// run() returns (the tool's exit record). Reconciliation invariant:
+/// run() returns (the tool's exit record); the connection counters come
+/// from the core (serve/Daemon.h). Reconciliation invariant:
 ///   FramesIn == InlineOps + Admitted + Shed + DrainRejects
 ///   Admitted == Served(results) with no request lost on drain
-struct ServerStats {
-  std::atomic<uint64_t> ConnsAccepted{0};
-  std::atomic<uint64_t> ConnsRejected{0}; ///< over MaxConns
-  std::atomic<uint64_t> FramesIn{0};
+struct ServerStats : ConnStats {
   std::atomic<uint64_t> InlineOps{0};
   std::atomic<uint64_t> Admitted{0};
   std::atomic<uint64_t> Shed{0};         ///< "overloaded" rejects
@@ -118,8 +120,6 @@ struct ServerStats {
   std::atomic<uint64_t> Deadline{0};     ///< "deadline" records
   std::atomic<uint64_t> Served{0};       ///< result records written
   std::atomic<uint64_t> Errors{0};       ///< "ok": false results
-  std::atomic<uint64_t> BadFrames{0};    ///< framing errors
-  std::atomic<uint64_t> WriteFailures{0};
 };
 
 /// The daemon. Lifecycle: construct, start() (binds, spawns threads; a

@@ -34,28 +34,28 @@ struct ParseResult {
 template <typename ChunkFn>
 ParseResult parseWith(const std::string &Stream, size_t MaxPayload,
                       ChunkFn &&NextChunk, std::string *BoundBug) {
-  FrameReader FR(MaxPayload);
+  FrameReader Parser(MaxPayload);
   ParseResult R;
   size_t Off = 0;
   while (Off < Stream.size()) {
     size_t N = NextChunk();
     if (N > Stream.size() - Off)
       N = Stream.size() - Off;
-    FR.feed(Stream.data() + Off, N);
+    Parser.feed(Stream.data() + Off, N);
     Off += N;
     std::string Payload;
     FrameReader::Status S;
-    while ((S = FR.next(Payload)) == FrameReader::Status::Frame)
+    while ((S = Parser.next(Payload)) == FrameReader::Status::Frame)
       R.Frames.push_back(Payload);
     if (S == FrameReader::Status::Error) {
-      R.Err = FR.error();
+      R.Err = Parser.error();
       break;
     }
-    if (BoundBug && FR.bufferedBytes() > FrameHeaderBytes + MaxPayload)
-      *BoundBug = "parser buffered " + std::to_string(FR.bufferedBytes()) +
+    if (BoundBug && Parser.bufferedBytes() > FrameHeaderBytes + MaxPayload)
+      *BoundBug = "parser buffered " + std::to_string(Parser.bufferedBytes()) +
                   " bytes, over the header+payload bound";
   }
-  R.MidFrame = FR.midFrame();
+  R.MidFrame = Parser.midFrame();
   return R;
 }
 

@@ -43,3 +43,19 @@ bool irlt::parseBindings(const std::string &Spec,
   }
   return true;
 }
+
+bool irlt::parseU64(const std::string &S, uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}

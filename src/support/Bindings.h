@@ -7,8 +7,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The command-line grammar for parameter bindings, `n=32,b=4`, shared by
-/// every tool that takes them (--verify, --params, --bind).
+/// The command-line grammars for parameter bindings, `n=32,b=4`, shared by
+/// every tool that takes them (--verify, --params, --bind), and for the
+/// unsigned counts and sizes the tools' numeric options take.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,11 @@ namespace irlt {
 /// empty list.
 bool parseBindings(const std::string &Spec,
                    std::map<std::string, int64_t> &Out);
+
+/// Parses \p S as decimal digits only - no sign, no spaces, not empty -
+/// whose value fits in uint64 exactly. \returns false (leaving \p Out
+/// alone) otherwise.
+bool parseU64(const std::string &S, uint64_t &Out);
 
 } // namespace irlt
 

@@ -17,6 +17,7 @@
 
 #include "front/Front.h"
 
+#include "../serve/DaemonCases.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
 
@@ -80,19 +81,7 @@ std::vector<std::string> corpus() {
   };
 }
 
-/// Pipelines all of \p Requests, then collects one response each.
-std::vector<std::string> roundTrip(ClientConn &C,
-                                   const std::vector<std::string> &Requests) {
-  for (const std::string &R : Requests)
-    EXPECT_TRUE(C.sendFrame(R));
-  std::vector<std::string> Out;
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    auto P = C.recvFrame(RecvMs);
-    EXPECT_TRUE(static_cast<bool>(P)) << P.message();
-    Out.push_back(P ? *P : std::string());
-  }
-  return Out;
-}
+using daemoncases::roundTrip;
 
 /// Serves \p Requests through a fresh direct (single-process, in-process)
 /// server and returns the responses - the byte-identity baseline.
@@ -414,4 +403,33 @@ TEST(Front, TcpLoopbackModeWorks) {
   }
   F.requestDrain();
   EXPECT_TRUE(F.run());
+}
+
+// The connection cases ServerTest.cpp runs against a Server, here run
+// against a Front (tests/serve/DaemonCases.h).
+
+TEST(Front, TruncatedFrameAtEofGetsBadFrameRecord) {
+  daemoncases::checkTruncatedFrameAtEof<Front>(frontOpts("trunc", 2));
+}
+
+TEST(Front, OversizedDeclaredLengthRejectedStructurally) {
+  daemoncases::checkOversizedDeclaredLength<Front>(frontOpts("oversized", 2));
+}
+
+TEST(Front, ShortReadFaultStillServesCorrectly) {
+  daemoncases::checkShortReadServesIdentically<Front>(
+      frontOpts("shortread_base", 2), frontOpts("shortread", 2), corpus());
+}
+
+TEST(Front, ConnectionLimitRejectsExcessWithOneOverloadedRecord) {
+  daemoncases::checkConnectionLimit<Front>(frontOpts("maxconns", 2));
+}
+
+TEST(Front, RegularFileAtSocketPathIsRefusedAndKept) {
+  daemoncases::checkRegularFileAtSocketPathIsKept<Front>(
+      frontOpts("regular_file", 2));
+}
+
+TEST(Front, LiveDaemonSocketIsNotStolen) {
+  daemoncases::checkLiveSocketIsNotStolen<Front>(frontOpts("live", 2));
 }

@@ -16,6 +16,7 @@
 
 #include "serve/Server.h"
 
+#include "DaemonCases.h"
 #include "serve/Client.h"
 
 #include <gtest/gtest.h>
@@ -55,38 +56,14 @@ std::vector<std::string> corpus() {
   };
 }
 
-/// Pipelines all of \p Requests, then collects one response each.
-std::vector<std::string> roundTrip(ClientConn &C,
-                                   const std::vector<std::string> &Requests) {
-  for (const std::string &R : Requests)
-    EXPECT_TRUE(C.sendFrame(R));
-  std::vector<std::string> Out;
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    auto P = C.recvFrame(RecvMs);
-    EXPECT_TRUE(static_cast<bool>(P)) << P.message();
-    Out.push_back(P ? *P : std::string());
-  }
-  return Out;
-}
+using daemoncases::roundTrip;
 
 /// Serves \p Requests on a fresh connection of a fresh server built from
 /// \p Opts, drains, and returns the responses.
-std::vector<std::string> serveOnce(ServeOptions Opts,
+std::vector<std::string> serveOnce(const ServeOptions &Opts,
                                    const std::vector<std::string> &Requests,
                                    size_t Repeats = 1) {
-  Server S(Opts);
-  auto St = S.start();
-  EXPECT_TRUE(static_cast<bool>(St)) << St.message();
-  std::vector<std::string> Out;
-  for (size_t R = 0; R < Repeats; ++R) {
-    auto C = connectUnix(Opts.SocketPath);
-    EXPECT_TRUE(static_cast<bool>(C)) << C.message();
-    std::vector<std::string> Got = roundTrip(*C, Requests);
-    Out.insert(Out.end(), Got.begin(), Got.end());
-  }
-  S.requestDrain();
-  EXPECT_TRUE(S.run());
-  return Out;
+  return daemoncases::serveOnce<Server>(Opts, Requests, Repeats);
 }
 
 /// Extracts the integer after "\p Field": in a response body.
@@ -425,47 +402,13 @@ TEST(Server, GarbageBytesGetBadFrameRecordThenClose) {
 TEST(Server, TruncatedFrameAtEofGetsBadFrameRecord) {
   ServeOptions O;
   O.SocketPath = sockPath("trunc");
-  Server S(O);
-  auto St = S.start();
-  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
-  {
-    auto C = connectUnix(O.SocketPath);
-    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
-    // A valid header declaring 64 bytes, 5 bytes of payload, then EOF.
-    std::string Raw(FrameMagic, 4);
-    Raw += std::string(1, '\x40') + std::string(3, '\0');
-    Raw += "hello";
-    ASSERT_TRUE(C->sendRaw(Raw));
-    C->finishWrites();
-    auto P = C->recvFrame(RecvMs);
-    ASSERT_TRUE(static_cast<bool>(P)) << P.message();
-    EXPECT_NE(P->find("\"kind\":\"bad_frame\""), std::string::npos) << *P;
-    EXPECT_NE(P->find("truncated"), std::string::npos);
-  }
-  S.requestDrain();
-  EXPECT_TRUE(S.run());
+  daemoncases::checkTruncatedFrameAtEof<Server>(O);
 }
 
 TEST(Server, OversizedDeclaredLengthRejectedStructurally) {
   ServeOptions O;
   O.SocketPath = sockPath("oversized");
-  O.MaxFrameBytes = 1024;
-  Server S(O);
-  auto St = S.start();
-  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
-  {
-    auto C = connectUnix(O.SocketPath);
-    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
-    std::string Raw(FrameMagic, 4);
-    Raw += std::string(4, '\xff'); // declares ~4 GiB
-    ASSERT_TRUE(C->sendRaw(Raw));
-    auto P = C->recvFrame(RecvMs);
-    ASSERT_TRUE(static_cast<bool>(P)) << P.message();
-    EXPECT_NE(P->find("\"kind\":\"bad_frame\""), std::string::npos) << *P;
-    EXPECT_NE(P->find("oversized_frame"), std::string::npos);
-  }
-  S.requestDrain();
-  EXPECT_TRUE(S.run());
+  daemoncases::checkOversizedDeclaredLength<Server>(O);
 }
 
 TEST(Server, WorkerThrowFaultYieldsInternalRecord) {
@@ -498,17 +441,10 @@ TEST(Server, WorkerThrowFaultYieldsInternalRecord) {
 }
 
 TEST(Server, ShortReadFaultStillServesCorrectly) {
-  // 1-byte socket reads exercise reassembly on maximally fragmented
-  // input without changing a single response byte.
-  std::vector<std::string> Reqs = corpus();
-  ServeOptions Plain;
+  ServeOptions Plain, Frag;
   Plain.SocketPath = sockPath("shortread_base");
-  std::vector<std::string> Baseline = serveOnce(Plain, Reqs);
-
-  ServeOptions Frag;
   Frag.SocketPath = sockPath("shortread");
-  Frag.Faults.ShortRead = true;
-  EXPECT_EQ(serveOnce(Frag, Reqs), Baseline);
+  daemoncases::checkShortReadServesIdentically<Server>(Plain, Frag, corpus());
 }
 
 TEST(Server, TcpLoopbackModeWorks) {
@@ -554,4 +490,22 @@ TEST(Server, DrainCompletesAdmittedWorkAndRejectsNewConnections) {
   // The socket is gone: a post-drain connect must fail, not hang.
   auto C2 = connectUnix(O.SocketPath);
   EXPECT_FALSE(static_cast<bool>(C2));
+}
+
+TEST(Server, ConnectionLimitRejectsExcessWithOneOverloadedRecord) {
+  ServeOptions O;
+  O.SocketPath = sockPath("maxconns");
+  daemoncases::checkConnectionLimit<Server>(O);
+}
+
+TEST(Server, RegularFileAtSocketPathIsRefusedAndKept) {
+  ServeOptions O;
+  O.SocketPath = sockPath("regular_file");
+  daemoncases::checkRegularFileAtSocketPathIsKept<Server>(O);
+}
+
+TEST(Server, LiveDaemonSocketIsNotStolen) {
+  ServeOptions O;
+  O.SocketPath = sockPath("live");
+  daemoncases::checkLiveSocketIsNotStolen<Server>(O);
 }

@@ -54,4 +54,35 @@ TEST(Bindings, RejectsPlusSignsAndSpaces) {
   EXPECT_FALSE(parse("n=\t5"));
 }
 
+/// parseU64 result, or nullopt when rejected; a rejection must leave
+/// the output untouched.
+std::optional<uint64_t> u64(const std::string &S) {
+  uint64_t V = 42;
+  if (parseU64(S, V))
+    return V;
+  EXPECT_EQ(V, 42u) << "rejected '" << S << "' but wrote the output";
+  return std::nullopt;
+}
+
+TEST(ParseU64, AcceptsDigitsOnly) {
+  EXPECT_EQ(u64("0"), 0u);
+  EXPECT_EQ(u64("17"), 17u);
+  EXPECT_EQ(u64("007"), 7u);
+}
+
+TEST(ParseU64, RejectsEmptySignsAndSpaces) {
+  EXPECT_FALSE(u64(""));
+  EXPECT_FALSE(u64("+1"));
+  EXPECT_FALSE(u64("-1"));
+  EXPECT_FALSE(u64(" 1"));
+  EXPECT_FALSE(u64("1 "));
+  EXPECT_FALSE(u64("1x"));
+}
+
+TEST(ParseU64, Uint64RangeIsExact) {
+  EXPECT_EQ(u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(u64("18446744073709551616"));
+  EXPECT_FALSE(u64("99999999999999999999"));
+}
+
 } // namespace

@@ -47,6 +47,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
+#include "support/Bindings.h"
 #include "support/Json.h"
 
 #include <atomic>
@@ -76,22 +77,6 @@ void usage(const char *Argv0) {
                "exit status: 0 all served, 2 request errors or illegal "
                "sequences, 3 interrupted, 1 tool error\n",
                Argv0);
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t D = static_cast<uint64_t>(C - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
 }
 
 } // namespace

@@ -42,6 +42,7 @@
 
 #include "engine/Engine.h"
 #include "serve/Client.h"
+#include "support/Bindings.h"
 #include "support/Json.h"
 
 #include <chrono>
@@ -67,22 +68,6 @@ void usage(const char *Argv0) {
       "exit status: 0 success, 2 error responses / server misbehavior, "
       "1 tool error\n",
       Argv0);
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t D = static_cast<uint64_t>(C - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
 }
 
 struct Target {
