@@ -17,15 +17,18 @@
 
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -50,6 +53,15 @@ std::chrono::milliseconds ms(uint64_t N) {
 void clearRecvTimeout(int Fd) {
   timeval Tv{};
   ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+}
+
+/// The pid that listened on the peer end of a connected Unix socket.
+pid_t peerPid(int Fd) {
+  ucred Cred{};
+  socklen_t Len = sizeof(Cred);
+  if (::getsockopt(Fd, SOL_SOCKET, SO_PEERCRED, &Cred, &Len) != 0)
+    return -1;
+  return Cred.pid;
 }
 
 /// FNV-1a (64-bit) over raw bytes - the fallback route for requests
@@ -133,6 +145,15 @@ struct Front::Impl {
   std::atomic<bool> StopSupervisor{false};
   std::thread SupervisorThread;
 
+  /// Every worker is forked on this one thread. A worker's parent-death
+  /// signal fires when the thread that forked it exits, not the front,
+  /// so the thread lives from start() until every worker is reaped.
+  std::thread ForkThread;
+  std::mutex ForkMu;
+  std::condition_variable ForkCv;
+  const std::function<void()> *ForkJob = nullptr;
+  bool StopForks = false;
+
   std::vector<std::unique_ptr<Shard>> Shards;
 
   /// Declared last: its destructor joins the client reader threads,
@@ -155,6 +176,9 @@ struct Front::Impl {
   ErrorOr<bool> startImpl();
   void cleanupFailedStart();
   std::vector<std::string> workerArgs(const Shard &S) const;
+  void forkLoop();
+  void onForkThread(const std::function<void()> &Job);
+  void stopForkThread();
   bool spawnWorker(Shard &S);
   bool tryAdopt(Shard &S);
 
@@ -235,6 +259,38 @@ std::vector<std::string> Front::Impl::workerArgs(const Shard &S) const {
   return A;
 }
 
+void Front::Impl::forkLoop() {
+  std::unique_lock<std::mutex> Lock(ForkMu);
+  for (;;) {
+    ForkCv.wait(Lock, [this] { return ForkJob || StopForks; });
+    if (!ForkJob)
+      return;
+    (*ForkJob)();
+    ForkJob = nullptr;
+    ForkCv.notify_all();
+  }
+}
+
+/// Runs \p Job on the fork thread and waits for it.
+void Front::Impl::onForkThread(const std::function<void()> &Job) {
+  std::unique_lock<std::mutex> Lock(ForkMu);
+  ForkCv.wait(Lock, [this] { return !ForkJob; });
+  ForkJob = &Job;
+  ForkCv.notify_all();
+  ForkCv.wait(Lock, [&] { return ForkJob != &Job; });
+}
+
+void Front::Impl::stopForkThread() {
+  if (!ForkThread.joinable())
+    return;
+  {
+    std::lock_guard<std::mutex> Lock(ForkMu);
+    StopForks = true;
+  }
+  ForkCv.notify_all();
+  ForkThread.join();
+}
+
 bool Front::Impl::spawnWorker(Shard &S) {
   // Argv is fully materialized before the fork: the front is
   // multithreaded, so the child must not allocate between fork and exec.
@@ -250,17 +306,28 @@ bool Front::Impl::spawnWorker(Shard &S) {
     return false;
   serve::setCloexec(Out[0]);
 
-  pid_t Pid = ::fork();
+  pid_t FrontPid = ::getpid();
+  pid_t Pid = -1;
+  onForkThread([&] {
+    Pid = ::fork();
+    if (Pid == 0) {
+      // Die with the front. A worker left behind by a SIGKILLed front
+      // would keep answering on <base>.w<i>, and the next front's worker
+      // for that path would refuse to start. The getppid() check covers
+      // a front that died before prctl() ran.
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != FrontPid)
+        _exit(127);
+      ::dup2(Out[1], STDOUT_FILENO);
+      ::close(Out[1]);
+      ::execv(Argv[0], Argv.data());
+      _exit(127);
+    }
+  });
   if (Pid < 0) {
     ::close(Out[0]);
     ::close(Out[1]);
     return false;
-  }
-  if (Pid == 0) {
-    ::dup2(Out[1], STDOUT_FILENO);
-    ::close(Out[1]);
-    ::execv(Argv[0], Argv.data());
-    _exit(127);
   }
   ::close(Out[1]);
   int Flags = ::fcntl(Out[0], F_GETFL);
@@ -287,8 +354,17 @@ bool Front::Impl::tryAdopt(Shard &S) {
   if (S.RespReader.joinable())
     S.RespReader.join();
 
+  pid_t Pid;
+  {
+    std::lock_guard<std::mutex> Lock(S.Mu);
+    Pid = S.Pid;
+  }
   ErrorOr<serve::ClientConn> Data = serve::connectUnix(S.SockPath);
-  if (!Data)
+  // Adopt only the worker this shard spawned. Another daemon on the path
+  // (a dead front's surviving worker, a second front on the same base)
+  // answers healthz too; the spawned worker refuses the path and exits,
+  // and step 1 of superviseShard counts that as a failed start.
+  if (!Data || Pid <= 0 || peerPid(Data->fd()) != Pid)
     return false;
   ErrorOr<std::string> Health = Data->call("{\"op\":\"healthz\"}", 1000);
   if (!Health)
@@ -419,7 +495,7 @@ int Front::Impl::submit(Shard &S, const ConnPtr &C, uint64_t Seq,
 }
 
 void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
-  serve::FrameReader Replies(2 * Opts.MaxFrameBytes + 4096);
+  serve::FrameReader FR(2 * Opts.MaxFrameBytes + 4096);
   char Buf[65536];
   bool Fail = false;
   bool Stale = false;
@@ -427,7 +503,7 @@ void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
     std::string Payload;
     serve::FrameReader::Status St = serve::FrameReader::Status::NeedMore;
     while (!Fail && !Stale &&
-           (St = Replies.next(Payload)) == serve::FrameReader::Status::Frame) {
+           (St = FR.next(Payload)) == serve::FrameReader::Status::Frame) {
       PendingReq P;
       {
         std::lock_guard<std::mutex> Lock(S.Mu);
@@ -461,14 +537,14 @@ void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
     }
     if (N == 0)
       break; // EOF: the worker died (or markDown shut the socket down)
-    Replies.feed(Buf, static_cast<size_t>(N));
+    FR.feed(Buf, static_cast<size_t>(N));
   }
   if (std::getenv("IRLT_FRONT_DEBUG"))
     std::fprintf(stderr,
                  "respReader exit: shard=%u gen=%llu fail=%d stale=%d "
                  "err=%s errno=%d\n",
                  S.Index, (unsigned long long)Gen, (int)Fail, (int)Stale,
-                 serve::FrameReader::errorName(Replies.error()), errno);
+                 serve::FrameReader::errorName(FR.error()), errno);
   // A no-op when the supervisor failed this generation first.
   markDown(S, Gen);
   ::close(Fd);
@@ -951,6 +1027,7 @@ void Front::Impl::cleanupFailedStart() {
     }
   }
   Shards.clear();
+  stopForkThread();
   Core.closeListener();
 }
 
@@ -985,14 +1062,16 @@ ErrorOr<bool> Front::Impl::startImpl() {
     return Listening;
   }
 
+  ForkThread = std::thread([this] { forkLoop(); });
   // Spawn every worker first, then wait for each: they boot
   // concurrently, so startup is bounded by the slowest worker, not the
   // sum (worker-slow-start pins this).
   for (auto &SP : Shards) {
     if (!spawnWorker(*SP)) {
+      unsigned Index = SP->Index; // cleanupFailedStart() destroys *SP
       cleanupFailedStart();
       return Failure(Diag::error("front: cannot spawn worker for shard " +
-                                 std::to_string(SP->Index)));
+                                 std::to_string(Index)));
     }
   }
   for (auto &SP : Shards) {
@@ -1020,9 +1099,10 @@ ErrorOr<bool> Front::Impl::startImpl() {
         std::this_thread::sleep_for(ms(20));
     }
     if (!Healthy) {
+      unsigned Index = S.Index; // cleanupFailedStart() destroys S
       cleanupFailedStart();
       return Failure(Diag::error(
-          "front: shard " + std::to_string(S.Index) + " worker ('" +
+          "front: shard " + std::to_string(Index) + " worker ('" +
           Opts.ServeBinary + "') did not become healthy within " +
           std::to_string(Opts.StartupTimeoutMillis) + " ms"));
     }
@@ -1167,6 +1247,7 @@ bool Front::run() {
   // journal), reap, and aggregate their drained records.
   for (auto &SP : I.Shards)
     I.shutdownShard(*SP);
+  I.stopForkThread();
 
   return I.Stats.WriteFailures.load() == 0;
 }

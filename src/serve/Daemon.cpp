@@ -11,10 +11,6 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
-#include <mutex>
-#include <set>
-#include <thread>
-#include <vector>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -74,13 +70,6 @@ struct serve::Conn {
 
 namespace {
 
-/// Reader-thread bookkeeping: joined opportunistically by the accept
-/// loop (Done) and finally at drain.
-struct ReaderSlot {
-  std::thread T;
-  std::atomic<bool> Done{false};
-};
-
 /// What is at a Unix socket path: nothing, something that is not a
 /// socket, a socket a daemon listens on, or a socket nobody listens on
 /// (connect() refused: a crashed or drained daemon's leftover).
@@ -110,49 +99,30 @@ PathState probePath(const std::string &Path) {
 
 } // namespace
 
-struct Daemon::Impl {
-  DaemonConfig Cfg;
-  std::string Tool; ///< "irlt-<Name>", the core's error records
-  ConnStats &Stats;
-  DispatchFn Dispatch;
-
-  int ListenFd = -1;
-  int BoundPort = 0;
-  int PipeR = -1, PipeW = -1;
-  std::atomic<bool> Draining{false};
-  /// This instance bound SocketPath (Unix mode).
-  bool BoundPath = false;
-
-  // Live reader-side sockets, so drain can wake blocked reads.
-  std::mutex ConnMu;
-  std::set<int> LiveFds;
-
-  std::thread AcceptThread;
-  std::vector<std::unique_ptr<ReaderSlot>> Readers; // accept thread only
-
-  Impl(DaemonConfig C, ConnStats &S, DispatchFn D)
-      : Cfg(std::move(C)), Tool("irlt-" + Cfg.Name), Stats(S),
-        Dispatch(std::move(D)) {}
-
-  Failure fail(const std::string &Msg) const {
-    return Failure(Diag::error(Cfg.Name + ": " + Msg));
-  }
-  void acceptLoop();
-  void readerLoop(ConnPtr C);
-  void badFrame(const ConnPtr &C, const std::string &Message);
-  void deliver(const ConnPtr &C, uint64_t Seq, const std::string &Record);
+/// Reader-thread bookkeeping: joined opportunistically by the accept
+/// loop (Done) and finally at drain.
+struct Daemon::ReaderSlot {
+  std::thread T;
+  std::atomic<bool> Done{false};
 };
+
+Daemon::Daemon(DaemonConfig C, ConnStats &S, DispatchFn D)
+    : Cfg(std::move(C)), Tool("irlt-" + Cfg.Name), Stats(S),
+      Dispatch(std::move(D)) {}
+
+Failure Daemon::fail(const std::string &Msg) const {
+  return Failure(Diag::error(Cfg.Name + ": " + Msg));
+}
 
 //===----------------------------------------------------------------------===//
 // Listen
 //===----------------------------------------------------------------------===//
 
 ErrorOr<bool> Daemon::openListener() {
-  DaemonConfig &Cfg = M->Cfg;
   if (!Cfg.SocketPath.empty() && Cfg.TcpPort >= 0)
-    return M->fail("--socket and --port are exclusive");
+    return fail("--socket and --port are exclusive");
   if (Cfg.SocketPath.empty() && Cfg.TcpPort < 0)
-    return M->fail("need --socket PATH or --port N");
+    return fail("need --socket PATH or --port N");
 
   union {
     sockaddr_un Un;
@@ -164,7 +134,7 @@ ErrorOr<bool> Daemon::openListener() {
   if (Unix) {
     Addr.Un.sun_family = AF_UNIX;
     if (Cfg.SocketPath.size() >= sizeof(Addr.Un.sun_path))
-      return M->fail("socket path too long: '" + Cfg.SocketPath + "'");
+      return fail("socket path too long: '" + Cfg.SocketPath + "'");
     std::memcpy(Addr.Un.sun_path, Cfg.SocketPath.c_str(),
                 Cfg.SocketPath.size() + 1);
     AddrLen = sizeof(Addr.Un);
@@ -174,10 +144,10 @@ ErrorOr<bool> Daemon::openListener() {
     // falls through to bind(), which reports it.
     switch (probePath(Cfg.SocketPath)) {
     case PathState::NotSocket:
-      return M->fail("refusing to replace '" + Cfg.SocketPath +
+      return fail("refusing to replace '" + Cfg.SocketPath +
                      "': it exists and is not a socket");
     case PathState::Live:
-      return M->fail("socket '" + Cfg.SocketPath +
+      return fail("socket '" + Cfg.SocketPath +
                      "' is already in use by a live daemon");
     case PathState::Stale:
       ::unlink(Cfg.SocketPath.c_str());
@@ -194,35 +164,35 @@ ErrorOr<bool> Daemon::openListener() {
     Where = "127.0.0.1:" + std::to_string(Cfg.TcpPort);
   }
 
-  M->ListenFd = ::socket(Unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
-  if (M->ListenFd < 0)
-    return M->fail(Unix ? "socket(AF_UNIX) failed" : "socket(AF_INET) failed");
-  setCloexec(M->ListenFd);
+  ListenFd = ::socket(Unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
+  if (ListenFd < 0)
+    return fail(Unix ? "socket(AF_UNIX) failed" : "socket(AF_INET) failed");
+  setCloexec(ListenFd);
   if (!Unix) {
     int One = 1;
-    ::setsockopt(M->ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
+    ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
   }
-  if (::bind(M->ListenFd, reinterpret_cast<sockaddr *>(&Addr), AddrLen) < 0)
-    return M->fail("cannot bind " + Where + ": " + std::strerror(errno));
+  if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), AddrLen) < 0)
+    return fail("cannot bind " + Where + ": " + std::strerror(errno));
   if (Unix) {
-    M->BoundPath = true;
+    BoundPath = true;
   } else {
     sockaddr_in Bound{};
     socklen_t Len = sizeof(Bound);
-    if (::getsockname(M->ListenFd, reinterpret_cast<sockaddr *>(&Bound),
+    if (::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Bound),
                       &Len) == 0)
-      M->BoundPort = ntohs(Bound.sin_port);
+      BoundPort = ntohs(Bound.sin_port);
   }
-  if (::listen(M->ListenFd, 64) < 0)
-    return M->fail(std::string("listen failed: ") + std::strerror(errno));
+  if (::listen(ListenFd, 64) < 0)
+    return fail(std::string("listen failed: ") + std::strerror(errno));
 
   int Pipe[2];
   if (::pipe(Pipe) != 0)
-    return M->fail("pipe() failed");
-  M->PipeR = Pipe[0];
-  M->PipeW = Pipe[1];
-  setCloexec(M->PipeR);
-  setCloexec(M->PipeW);
+    return fail("pipe() failed");
+  PipeR = Pipe[0];
+  PipeW = Pipe[1];
+  setCloexec(PipeR);
+  setCloexec(PipeW);
   return true;
 }
 
@@ -230,8 +200,8 @@ ErrorOr<bool> Daemon::openListener() {
 // Response delivery (per-connection completed-prefix reorder buffer)
 //===----------------------------------------------------------------------===//
 
-void Daemon::Impl::deliver(const ConnPtr &C, uint64_t Seq,
-                           const std::string &Record) {
+void Daemon::deliver(const ConnPtr &C, uint64_t Seq,
+                     const std::string &Record) {
   std::lock_guard<std::mutex> Lock(C->WriteMu);
   C->Pending.emplace(Seq, Record);
   while (!C->Pending.empty() && C->Pending.begin()->first == C->NextWrite) {
@@ -251,14 +221,14 @@ void Daemon::Impl::deliver(const ConnPtr &C, uint64_t Seq,
 //===----------------------------------------------------------------------===//
 
 /// One structured reject in the stream's next slot; the caller closes.
-void Daemon::Impl::badFrame(const ConnPtr &C, const std::string &Message) {
+void Daemon::badFrame(const ConnPtr &C, const std::string &Message) {
   ++Stats.BadFrames;
   deliver(C, C->NextSeq++,
           engine::makeErrorRecord(Tool, "-", engine::errkind::BadFrame,
                                   Message));
 }
 
-void Daemon::Impl::readerLoop(ConnPtr C) {
+void Daemon::readerLoop(ConnPtr C) {
   FrameReader FR(Cfg.MaxFrameBytes);
   char Buf[4096];
   // The short-read fault degrades the transport to one byte per read;
@@ -308,7 +278,7 @@ void Daemon::Impl::readerLoop(ConnPtr C) {
 // Accept loop
 //===----------------------------------------------------------------------===//
 
-void Daemon::Impl::acceptLoop() {
+void Daemon::acceptLoop() {
   for (;;) {
     pollfd Fds[2] = {{ListenFd, POLLIN, 0}, {PipeR, POLLIN, 0}};
     if (::poll(Fds, 2, -1) < 0) {
@@ -377,67 +347,54 @@ void Daemon::Impl::acceptLoop() {
 // Public surface
 //===----------------------------------------------------------------------===//
 
-Daemon::Daemon(DaemonConfig Cfg, ConnStats &Stats, DispatchFn Dispatch)
-    : M(std::make_unique<Impl>(std::move(Cfg), Stats, std::move(Dispatch))) {}
-
 Daemon::~Daemon() {
   if (accepting()) {
     requestDrain();
     drainConnections();
   }
   closeListener();
-  if (M->PipeR >= 0)
-    ::close(M->PipeR);
-  if (M->PipeW >= 0)
-    ::close(M->PipeW);
+  if (PipeR >= 0)
+    ::close(PipeR);
+  if (PipeW >= 0)
+    ::close(PipeW);
 }
 
 void Daemon::startAccepting() {
-  M->AcceptThread = std::thread([this] { M->acceptLoop(); });
+  AcceptThread = std::thread([this] { acceptLoop(); });
 }
-
-bool Daemon::accepting() const { return M->AcceptThread.joinable(); }
 
 void Daemon::requestDrain() {
   // write() is async-signal-safe; this is the whole point of the pipe.
-  if (M->PipeW >= 0) {
+  if (PipeW >= 0) {
     char B = 1;
-    [[maybe_unused]] ssize_t N = ::write(M->PipeW, &B, 1);
+    [[maybe_unused]] ssize_t N = ::write(PipeW, &B, 1);
   }
 }
 
-bool Daemon::draining() const { return M->Draining.load(); }
-
 void Daemon::drainConnections() {
-  if (M->AcceptThread.joinable())
-    M->AcceptThread.join();
+  if (AcceptThread.joinable())
+    AcceptThread.join();
   // Wake every blocked reader; buffered complete frames still dispatch
   // (the daemon rejects them as "draining"), then the readers exit.
   {
-    std::lock_guard<std::mutex> Lock(M->ConnMu);
-    for (int Fd : M->LiveFds)
+    std::lock_guard<std::mutex> Lock(ConnMu);
+    for (int Fd : LiveFds)
       ::shutdown(Fd, SHUT_RD);
   }
-  for (auto &Slot : M->Readers)
+  for (auto &Slot : Readers)
     Slot->T.join();
-  M->Readers.clear();
+  Readers.clear();
 }
 
 void Daemon::closeListener() {
-  if (M->ListenFd >= 0) {
-    ::close(M->ListenFd);
-    M->ListenFd = -1;
+  if (ListenFd >= 0) {
+    ::close(ListenFd);
+    ListenFd = -1;
   }
   // A successor may have claimed the path once this listener closed; its
   // socket answers the probe and is left alone.
-  if (M->BoundPath && probePath(M->Cfg.SocketPath) == PathState::Stale)
-    ::unlink(M->Cfg.SocketPath.c_str());
-  M->BoundPath = false;
+  if (BoundPath && probePath(Cfg.SocketPath) == PathState::Stale)
+    ::unlink(Cfg.SocketPath.c_str());
+  BoundPath = false;
 }
 
-void Daemon::deliver(const ConnPtr &C, uint64_t Seq,
-                     const std::string &Record) {
-  M->deliver(C, Seq, Record);
-}
-
-int Daemon::boundPort() const { return M->BoundPort; }

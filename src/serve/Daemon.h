@@ -47,8 +47,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 namespace irlt {
 namespace serve {
@@ -121,12 +125,12 @@ public:
   /// Spawns the accept thread (after a successful openListener()).
   void startAccepting();
   /// True from startAccepting() until drainConnections() returns.
-  bool accepting() const;
+  bool accepting() const { return AcceptThread.joinable(); }
 
   /// Async-signal-safe drain trigger (writes one byte to a self-pipe).
   void requestDrain();
   /// Set once the accept loop has seen the drain trigger.
-  bool draining() const;
+  bool draining() const { return Draining.load(); }
   /// Drain phase 1: waits for the accept loop to stop (requestDrain()
   /// must have been called), shuts the read side of every live
   /// connection, and joins every reader.
@@ -143,11 +147,35 @@ public:
   void deliver(const ConnPtr &C, uint64_t Seq, const std::string &Record);
 
   /// The bound TCP port (after openListener(), TCP mode only; else 0).
-  int boundPort() const;
+  int boundPort() const { return BoundPort; }
 
 private:
-  struct Impl;
-  std::unique_ptr<Impl> M;
+  /// A reader thread and its done flag (Daemon.cpp).
+  struct ReaderSlot;
+
+  Failure fail(const std::string &Msg) const;
+  void acceptLoop();
+  void readerLoop(ConnPtr C);
+  void badFrame(const ConnPtr &C, const std::string &Message);
+
+  DaemonConfig Cfg;
+  std::string Tool; ///< "irlt-<Name>", the core's error records
+  ConnStats &Stats;
+  DispatchFn Dispatch;
+
+  int ListenFd = -1;
+  int BoundPort = 0;
+  int PipeR = -1, PipeW = -1;
+  std::atomic<bool> Draining{false};
+  /// This instance bound Cfg.SocketPath (Unix mode).
+  bool BoundPath = false;
+
+  // Live reader-side sockets, so drain can wake blocked reads.
+  std::mutex ConnMu;
+  std::set<int> LiveFds;
+
+  std::thread AcceptThread;
+  std::vector<std::unique_ptr<ReaderSlot>> Readers; // accept thread only
 };
 
 } // namespace serve

@@ -34,28 +34,28 @@ struct ParseResult {
 template <typename ChunkFn>
 ParseResult parseWith(const std::string &Stream, size_t MaxPayload,
                       ChunkFn &&NextChunk, std::string *BoundBug) {
-  FrameReader Parser(MaxPayload);
+  FrameReader FR(MaxPayload);
   ParseResult R;
   size_t Off = 0;
   while (Off < Stream.size()) {
     size_t N = NextChunk();
     if (N > Stream.size() - Off)
       N = Stream.size() - Off;
-    Parser.feed(Stream.data() + Off, N);
+    FR.feed(Stream.data() + Off, N);
     Off += N;
     std::string Payload;
     FrameReader::Status S;
-    while ((S = Parser.next(Payload)) == FrameReader::Status::Frame)
+    while ((S = FR.next(Payload)) == FrameReader::Status::Frame)
       R.Frames.push_back(Payload);
     if (S == FrameReader::Status::Error) {
-      R.Err = Parser.error();
+      R.Err = FR.error();
       break;
     }
-    if (BoundBug && Parser.bufferedBytes() > FrameHeaderBytes + MaxPayload)
-      *BoundBug = "parser buffered " + std::to_string(Parser.bufferedBytes()) +
+    if (BoundBug && FR.bufferedBytes() > FrameHeaderBytes + MaxPayload)
+      *BoundBug = "parser buffered " + std::to_string(FR.bufferedBytes()) +
                   " bytes, over the header+payload bound";
   }
-  R.MidFrame = Parser.midFrame();
+  R.MidFrame = FR.midFrame();
   return R;
 }
 

@@ -24,9 +24,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace irlt;
 using namespace irlt::front;
@@ -34,6 +40,9 @@ using namespace irlt::serve;
 
 namespace {
 
+#ifndef IRLT_FRONT_PATH
+#define IRLT_FRONT_PATH "irlt-front"
+#endif
 #ifndef IRLT_SERVE_PATH
 #define IRLT_SERVE_PATH "irlt-serve"
 #endif
@@ -116,6 +125,18 @@ bool waitHealthy(const std::string &Sock, int Millis) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   return false;
+}
+
+/// The pid listening on Unix socket \p Path, or -1 if nothing answers.
+pid_t listenerPid(const std::string &Path) {
+  auto C = connectUnix(Path);
+  if (!C)
+    return -1;
+  ucred Cred{};
+  socklen_t Len = sizeof(Cred);
+  if (::getsockopt(C->fd(), SOL_SOCKET, SO_PEERCRED, &Cred, &Len) != 0)
+    return -1;
+  return Cred.pid;
 }
 
 } // namespace
@@ -432,4 +453,86 @@ TEST(Front, RegularFileAtSocketPathIsRefusedAndKept) {
 
 TEST(Front, LiveDaemonSocketIsNotStolen) {
   daemoncases::checkLiveSocketIsNotStolen<Front>(frontOpts("live", 2));
+}
+
+TEST(Front, RestartAfterSigkillReusesShardPathsWithoutRestarts) {
+  // A front killed outright takes its workers with it, so the next front
+  // on the same socket (and so the same shard base) starts its own
+  // workers there and keeps them: no restarts, no shard_down.
+  FrontOptions O = frontOpts("sigkill", 2);
+  std::vector<std::string> Args = {IRLT_FRONT_PATH, "--socket", O.SocketPath,
+                                   "--shards", "2", "--serve-bin",
+                                   IRLT_SERVE_PATH};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  Argv.push_back(nullptr);
+  pid_t Old = ::fork();
+  ASSERT_GE(Old, 0);
+  if (Old == 0) {
+    int Null = ::open("/dev/null", O_WRONLY);
+    ::dup2(Null, STDOUT_FILENO);
+    ::dup2(Null, STDERR_FILENO);
+    ::execv(Argv[0], Argv.data());
+    _exit(127);
+  }
+  ASSERT_TRUE(waitHealthy(O.SocketPath, 15000)) << "first front never came up";
+  ASSERT_EQ(::kill(Old, SIGKILL), 0);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Old, &Status, 0), Old);
+
+  // Both shard sockets go stale once the killed front's workers die.
+  for (unsigned I = 0; I < O.Shards; ++I) {
+    std::string W = O.SocketPath + ".w" + std::to_string(I);
+    pid_t Orphan = listenerPid(W);
+    for (int T = 0; T < 200 && Orphan > 0; ++T) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+      Orphan = listenerPid(W);
+    }
+    EXPECT_LE(Orphan, 0) << W << " still answers after its front died";
+    if (Orphan > 0)
+      ::kill(Orphan, SIGKILL);
+  }
+
+  Front F(O);
+  auto St = F.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    auto C = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
+    for (const std::string &R : roundTrip(*C, corpus()))
+      EXPECT_EQ(R.find("shard_down"), std::string::npos) << R;
+  }
+  // Several supervision ticks: an adopted stranger would churn here.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  F.requestDrain();
+  EXPECT_TRUE(F.run());
+  EXPECT_EQ(F.stats().Restarts.load(), 0u);
+  EXPECT_EQ(F.stats().ShardDownRejects.load(), 0u);
+}
+
+TEST(Front, StrangerOnWorkerPathIsNotAdopted) {
+  // A live daemon already on <base>.w0 answers healthz just as a worker
+  // would. The front's own worker refuses that path, and the front fails
+  // to start instead of routing to a daemon it did not spawn.
+  FrontOptions O = frontOpts("stranger", 1);
+  O.StartupTimeoutMillis = 5000;
+  ServeOptions SO;
+  SO.SocketPath = O.SocketPath + ".w0";
+  Server Stranger(SO);
+  auto SSt = Stranger.start();
+  ASSERT_TRUE(static_cast<bool>(SSt)) << SSt.message();
+  {
+    Front F(O);
+    auto St = F.start();
+    EXPECT_FALSE(static_cast<bool>(St)) << "adopted a daemon it did not spawn";
+  }
+  auto C = connectUnix(SO.SocketPath);
+  ASSERT_TRUE(static_cast<bool>(C)) << C.message();
+  ASSERT_TRUE(C->sendFrame(R"({"op":"healthz","id":"h"})"));
+  auto P = C->recvFrame(RecvMs);
+  ASSERT_TRUE(static_cast<bool>(P)) << P.message();
+  EXPECT_NE(P->find("\"ok\":true"), std::string::npos) << *P;
+  Stranger.requestDrain();
+  EXPECT_TRUE(Stranger.run());
 }
