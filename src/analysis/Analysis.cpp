@@ -8,6 +8,7 @@
 
 #include "deps/CrossCheck.h"
 #include "deps/DepOracle.h"
+#include "legality/IncrementalEngine.h"
 #include "support/Casting.h"
 #include "support/MathUtils.h"
 #include "transform/Templates.h"
@@ -399,28 +400,31 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
     return false;
   };
 
-  // The walk: an instrumented replica of isLegal() - identical checks in
-  // identical order under the same per-stage OverflowGuard - so a
-  // sequence is error-clean here exactly when isLegal() accepts it.
-  // Provenance and lint computations run under their own nested guards
-  // (innermost records) so they cannot perturb the replica's verdict.
-  LoopNest Cur = Nest;
-  DepSet CurDeps = D;
-  bool Errored = false;
-  for (unsigned I = 0; I < Steps.size() && !Errored; ++I) {
+  // The walk renders the incremental legality engine's own stage walk
+  // (legality/IncrementalEngine.h): each stage reads the builder before
+  // and after extend(), and a stage rejection becomes the finding its
+  // RejectKind names. So a sequence is error-clean here exactly when
+  // isLegal() accepts it, and analyze shares prefix-cache entries with
+  // every other caller of the uniform test. Provenance and lint
+  // computations run under their own guards so they cannot perturb the
+  // engine's verdict. A rejected stage leaves the builder on the
+  // surviving prefix, so nest() and deps() still show what it observed.
+  legality::SequenceBuilder B = legality::IncrementalEngine::global().open(
+      Nest, D, legality::Mode::Full);
+  for (unsigned I = 0; I < Steps.size(); ++I) {
     const TemplateRef &Step = Steps[I];
     unsigned Stage = I + 1;
 
     // Defensive arity check so malformed hand-built sequences diagnose
     // instead of indexing out of range inside a template.
-    if (Step->inputSize() != Cur.numLoops()) {
+    if (Step->inputSize() != B.outputLoops()) {
       Finding F = makeFinding("E106");
       F.Stage = Stage;
       F.TemplateName = Step->name();
       F.Message = Step->name() + " expects " +
                   std::to_string(Step->inputSize()) +
-                  " loops but the nest has " + std::to_string(Cur.numLoops()) +
-                  " at this stage";
+                  " loops but the nest has " +
+                  std::to_string(B.outputLoops()) + " at this stage";
       Report.Findings.push_back(std::move(F));
       return Report;
     }
@@ -431,85 +435,34 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
     BoundType PreWorst = BoundType::Const;
     {
       OverflowGuard Shield;
-      PreWorst =
-          stateWorst(NestTypeState::fromNest(Cur), &WorstLoop, &WorstExpr);
+      PreWorst = stateWorst(NestTypeState::fromNest(B.nest()), &WorstLoop,
+                            &WorstExpr);
     }
-    bool PreAllDistances = allDistanceVectors(CurDeps);
+    bool PreAllDistances = allDistanceVectors(B.deps());
 
-    LoopNest Next;
-    DepSet NextDeps;
-    {
-      OverflowGuard Guard;
-      auto overflow = [&]() {
-        if (!Guard.triggered())
-          return false;
-        Finding F = makeFinding("E104");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = "coefficient arithmetic overflows the int64 range "
-                    "(bounds overflow)";
-        Report.Findings.push_back(std::move(F));
-        return true;
-      };
-
-      std::string E = Step->checkPreconditions(Cur);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
-      if (!E.empty()) {
-        Finding F =
-            makeFinding(usesTable4(Step->kind()) ? "E102" : "E101");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = "bounds precondition violated: " + E;
+    if (!B.extend(Step)) {
+      using RK = LegalityResult::RejectKind;
+      const LegalityResult &L = B.failure();
+      Finding F = makeFinding(
+          L.Kind == RK::Overflow                 ? "E104"
+          : L.Kind == RK::DependencePrecondition ? "E103"
+          : L.Kind == RK::ApplyFailure           ? "E105"
+          : usesTable4(Step->kind())             ? "E102"
+                                                 : "E101");
+      F.Stage = Stage;
+      F.TemplateName = Step->name();
+      F.Message = L.Why.Message;
+      if (L.Kind != RK::Overflow)
         F.Lattice = typeName(PreWorst);
-        F.Bounds = headerExprDesc(Cur, WorstLoop, WorstExpr);
-        Report.Findings.push_back(std::move(F));
-        Errored = true;
-        break;
-      }
-
-      E = checkAnchorDependence(*Step, NestTypeState::fromNest(Cur), CurDeps);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
-      if (!E.empty()) {
-        Finding F = makeFinding("E103");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = "dependence precondition violated: " + E;
-        F.Lattice = typeName(PreWorst);
-        std::string Deps = CurDeps.str();
+      if (L.Kind == RK::BoundsPrecondition)
+        F.Bounds = headerExprDesc(B.nest(), WorstLoop, WorstExpr);
+      if (L.Kind == RK::DependencePrecondition) {
+        std::string Deps = B.deps().str();
         if (Deps.size() <= 200)
           F.DepVector = Deps;
-        Report.Findings.push_back(std::move(F));
-        Errored = true;
-        break;
       }
-
-      ErrorOr<LoopNest> Applied = Step->apply(Cur);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
-      if (!Applied) {
-        Finding F = makeFinding("E105");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = Applied.message();
-        F.Lattice = typeName(PreWorst);
-        Report.Findings.push_back(std::move(F));
-        Errored = true;
-        break;
-      }
-      Next = Applied.take();
-      NextDeps = Step->mapDependences(CurDeps);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
+      Report.Findings.push_back(std::move(F));
+      break;
     }
 
     if (Opts.Lint) {
@@ -521,14 +474,14 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
         unsigned OutLoop = 0;
         HeaderExpr OutExpr = HeaderExpr::Lower;
         BoundType PostWorst =
-            stateWorst(NestTypeState::fromNest(Next), &OutLoop, &OutExpr);
+            stateWorst(NestTypeState::fromNest(B.nest()), &OutLoop, &OutExpr);
         if (PostWorst == BoundType::Nonlinear &&
             PreWorst != BoundType::Nonlinear) {
           Finding F = makeFinding("W203");
           F.Stage = Stage;
           F.TemplateName = Step->name();
           F.Lattice = typeName(PostWorst);
-          F.Bounds = headerExprDesc(Next, OutLoop, OutExpr);
+          F.Bounds = headerExprDesc(B.nest(), OutLoop, OutExpr);
           F.Message =
               Step->name() +
               " generates nonlinear loop bounds here (" + F.Bounds +
@@ -540,7 +493,7 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
       // W202: an exact distance set degraded to a full '*' direction
       // while a later Parallelize still has to prove independence.
       if (PreAllDistances && laterParallelize(I)) {
-        std::string Star = findStarVector(NextDeps);
+        std::string Star = findStarVector(B.deps());
         if (!Star.empty()) {
           Finding F = makeFinding("W202");
           F.Stage = Stage;
@@ -556,26 +509,24 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
         }
       }
     }
-
-    Cur = std::move(Next);
-    CurDeps = std::move(NextDeps);
   }
 
   // Final lexicographic test on the fully mapped set (isLegal part (a)).
-  if (!Errored) {
-    for (const DepVector &V : CurDeps.vectors()) {
-      if (V.canBeLexNegative()) {
-        Finding F = makeFinding("E100");
-        F.Message = "transformed dependence vector " + V.str() +
-                    " admits a lexicographically negative tuple";
-        F.DepVector = V.str();
-        {
-          OverflowGuard Shield;
-          F.Lattice = typeName(stateWorst(NestTypeState::fromNest(Cur)));
+  if (!B.hasFailed()) {
+    LegalityResult L = B.finish();
+    if (L.Kind == LegalityResult::RejectKind::LexNegative) {
+      Finding F = makeFinding("E100");
+      F.Message = L.Why.Message;
+      for (const DepVector &V : L.FinalDeps.vectors())
+        if (V.canBeLexNegative()) {
+          F.DepVector = V.str();
+          break;
         }
-        Report.Findings.push_back(std::move(F));
-        break;
+      {
+        OverflowGuard Shield;
+        F.Lattice = typeName(stateWorst(NestTypeState::fromNest(B.nest())));
       }
+      Report.Findings.push_back(std::move(F));
     }
   }
 

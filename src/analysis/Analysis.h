@@ -18,10 +18,13 @@
 /// offending dependence vector or bounds expression, and the inferred
 /// TypeState lattice element.
 ///
-/// Error-class rules replicate the isLegal() walk step for step (same
-/// checks, same order, same per-stage OverflowGuard), so by construction
-/// a sequence is error-clean if and only if isLegal() accepts it - the
-/// invariant the fuzzer's analyzer oracle enforces. Warning-class lint
+/// Error-class rules render the incremental legality engine's walk
+/// (legality/IncrementalEngine.h): the analyzer reads a SequenceBuilder
+/// before and after each stage and maps a stage rejection's RejectKind
+/// to its rule, so a sequence is error-clean if and only if isLegal()
+/// accepts it, and analysis shares the engine's prefix cache. The
+/// fuzzer's analyzer oracle checks that invariant against the uncached
+/// IncrementalEngine::reference() walk. Warning-class lint
 /// rules flag legal-but-wasteful scripts: stage pairs the reduced()
 /// peephole would fold, identity stages, direction-vector information
 /// loss ahead of a Parallelize, templates whose generated bounds degrade

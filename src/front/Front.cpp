@@ -830,11 +830,15 @@ std::string Front::Impl::healthzRecord(const std::string &Id) {
   uint64_t UpCount = 0;
   std::vector<char> Up(Shards.size(), 0);
   for (size_t I = 0; I < Shards.size(); ++I) {
+    Shard &S = *Shards[I];
     ErrorOr<std::string> R =
-        opsCall(*Shards[I], "{\"op\":\"healthz\"}", Opts.ProbeTimeoutMillis);
+        opsCall(S, "{\"op\":\"healthz\"}", Opts.ProbeTimeoutMillis);
     if (R) {
       ErrorOr<json::JsonValue> D = json::JsonValue::parse(*R);
-      if (D && D->isObject() && D->boolOr("ok", false)) {
+      // A respawned worker answers on its path before the supervisor
+      // adopts it, and routing answers shard_down until then.
+      std::lock_guard<std::mutex> Lock(S.Mu);
+      if (D && D->isObject() && D->boolOr("ok", false) && S.Up) {
         Up[I] = 1;
         ++UpCount;
       }

@@ -15,12 +15,14 @@
 #include "eval/Verify.h"
 #include "fuzz/ScriptGen.h"
 #include "ir/Parser.h"
+#include "legality/IncrementalEngine.h"
 #include "search/Search.h"
 #include "support/MathUtils.h"
 #include "support/Printing.h"
 #include "transform/Sequence.h"
 #include "transform/TypeState.h"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 
@@ -121,6 +123,24 @@ std::string costModelMismatch(const LoopNest &Nest,
   return "";
 }
 
+/// The first error rule the analyzer must report for reference verdict
+/// \p Ref (docs/ANALYSIS.md); empty when the reference accepts.
+std::string expectedRule(const LegalityResult &Ref,
+                         const TransformSequence &Seq) {
+  using RK = LegalityResult::RejectKind;
+  using Kind = TransformTemplate::Kind;
+  if (Ref.Kind == RK::BoundsPrecondition) {
+    Kind K = Seq.steps()[Ref.Why.Stage - 1]->kind();
+    bool Table4 = K == Kind::Block || K == Kind::Interleave || K == Kind::Custom;
+    return Table4 ? "E102" : "E101";
+  }
+  return Ref.Kind == RK::LexNegative              ? "E100"
+         : Ref.Kind == RK::DependencePrecondition ? "E103"
+         : Ref.Kind == RK::Overflow               ? "E104"
+         : Ref.Kind == RK::ApplyFailure           ? "E105"
+                                                  : "";
+}
+
 } // namespace
 
 CaseOutcome irlt::fuzz::runCase(const FuzzCase &C,
@@ -188,27 +208,32 @@ CaseOutcome irlt::fuzz::runCase(const FuzzCase &C,
   // its cache-soundness stressor.
   LegalityResult L = isLegal(Seq, Nest, D);
 
-  // 4b. Analyzer oracle: the static diagnostic engine replays the same
-  // walk without executing anything (docs/ANALYSIS.md), so its
-  // error-class verdict must agree with the full test on every case -
-  // an error-clean report on an illegal sequence or an error finding on
-  // a legal one are both soundness bugs in the analyzer.
+  // 4b. Analyzer oracle: the static diagnostic engine renders the
+  // engine's own stage walk (docs/ANALYSIS.md), so diffing it against
+  // isLegal() would compare the engine with itself. The independent side
+  // is the uncached legacy walk, IncrementalEngine::reference(): the
+  // report must be error-clean exactly when the reference accepts, and
+  // otherwise its first error finding must name the rule and stage of
+  // the reference's rejection.
+  LegalityResult Ref = legality::IncrementalEngine::reference(
+      Seq, Nest, D, legality::Mode::Full);
   analysis::AnalysisReport AR = analysis::analyzeSequence(Seq, Nest, D);
-  if (L.Legal && AR.hasErrors()) {
-    std::string First;
-    for (const analysis::Finding &F : AR.Findings)
-      if (F.Severity == analysis::FindingSeverity::Error) {
-        First = std::string(F.RuleId) + ": " + F.Message;
-        break;
-      }
+  auto First = std::find_if(
+      AR.Findings.begin(), AR.Findings.end(), [](const analysis::Finding &F) {
+        return F.Severity == analysis::FindingSeverity::Error;
+      });
+  bool HasError = First != AR.Findings.end();
+  if (HasError ? First->RuleId != expectedRule(Ref, Seq) ||
+                     First->Stage != Ref.Why.Stage
+               : !Ref.Legal)
     return outcome(Category::OracleFailure,
-                   "analyzer: error-class finding on a legal sequence: " +
-                       First);
-  }
-  if (!L.Legal && !AR.hasErrors())
-    return outcome(
-        Category::OracleFailure,
-        "analyzer: error-clean report for an illegal sequence: " + L.Reason);
+                   "analyzer: first error finding " +
+                       (HasError ? First->RuleId + " at stage " +
+                                       std::to_string(First->Stage) + ": " +
+                                       First->Message
+                                 : std::string("none")) +
+                       " disagrees with the reference verdict: " +
+                       (Ref.Legal ? std::string("legal") : Ref.Reason));
 
   if (!L.Legal && L.Kind == LegalityResult::RejectKind::Overflow)
     return outcome(Category::OverflowRejected, L.Reason);

@@ -385,6 +385,11 @@ const DepSet &SequenceBuilder::deps() const {
   return Cur ? Cur->Deps : Empty;
 }
 
+const LoopNest &SequenceBuilder::nest() const {
+  static const LoopNest Empty;
+  return Cur ? Cur->Nest : Empty;
+}
+
 unsigned SequenceBuilder::outputLoops() const {
   if (!Cur)
     return 0;
@@ -558,9 +563,9 @@ IncrementalEngine &IncrementalEngine::global() {
 //===----------------------------------------------------------------------===//
 // The whole-sequence entry points, now thin shims over the engine. The
 // declarations stay in transform/Sequence.h and transform/TypeState.h;
-// every caller - search leaves, witness certify/check, the analyzer's
-// goldens, the fuzz oracles, the Pipeline caches - funnels through the
-// one engine and shares its prefix cache.
+// every caller - search leaves, the fuzz oracles, the Pipeline caches -
+// funnels through the one engine and shares its prefix cache with the
+// analyzer and witness::certify, which open builders on global().
 //===----------------------------------------------------------------------===//
 
 LegalityResult irlt::isLegal(const TransformSequence &T, const LoopNest &Nest,

@@ -134,6 +134,10 @@ public:
   unsigned length() const { return static_cast<unsigned>(Steps.size()); }
   /// The dependence set mapped through the surviving prefix.
   const DepSet &deps() const;
+  /// Full mode: the concrete nest after the surviving prefix, which the
+  /// next stage's checks observe. Fast mode: PrefixState::Nest, the nest
+  /// materialized only through AppliedThrough stages.
+  const LoopNest &nest() const;
   /// Loop count after the surviving prefix.
   unsigned outputLoops() const;
   /// The stages consumed so far, as written.

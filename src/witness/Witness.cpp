@@ -7,6 +7,7 @@
 #include "witness/Witness.h"
 
 #include "eval/Verify.h"
+#include "legality/IncrementalEngine.h"
 #include "support/MathUtils.h"
 #include "transform/Templates.h"
 
@@ -120,35 +121,32 @@ Certificate irlt::witness::certify(const TransformSequence &Seq,
                                    const LoopNest &Nest, const DepSet &D,
                                    const WitnessOptions &Opts) {
   Certificate C;
-  // The shimmed isLegal() (prefix-memoized engine) by design: the
-  // certificate's verdict fields must be byte-identical to whatever
-  // every other caller of the uniform test observes, warm or cold.
-  LegalityResult L = isLegal(Seq, Nest, D);
+  // The acceptance trace renders the engine's own stage walk - the same
+  // prefix-memoized walk check() runs - so the verdict fields are
+  // byte-identical to whatever every other caller of the uniform test
+  // observes, warm or cold: In is the builder's mapped set before a
+  // stage, Out the set after it.
+  legality::SequenceBuilder B = legality::IncrementalEngine::global().open(
+      Nest, D, legality::Mode::Full);
+  std::vector<StageTrace> Stages;
+  for (const TemplateRef &Step : Seq.steps()) {
+    StageTrace T;
+    T.Stage = B.length() + 1;
+    T.Template = Step->str();
+    T.In = B.deps();
+    if (!B.extend(Step))
+      break;
+    T.Out = B.deps();
+    Stages.push_back(std::move(T));
+  }
+  LegalityResult L = B.finish(); // exactly what check() returns
   C.Accepted = L.Legal;
   C.Kind = L.Kind;
   C.Reason = L.Reason;
   C.Why = L.Why;
 
   if (L.Legal) {
-    // Acceptance: record the per-stage rule applications. The sequence
-    // was accepted, so re-running the mapping rules cannot overflow; the
-    // guard is belt-and-braces against a diverging re-derivation.
-    DepSet Cur = D;
-    unsigned Stage = 0;
-    for (const TemplateRef &Step : Seq.steps()) {
-      OverflowGuard Guard;
-      StageTrace T;
-      T.Stage = ++Stage;
-      T.Template = Step->str();
-      T.In = Cur;
-      T.Out = Step->mapDependences(Cur);
-      if (Guard.triggered()) {
-        C.Stages.clear();
-        break;
-      }
-      Cur = T.Out;
-      C.Stages.push_back(std::move(T));
-    }
+    C.Stages = std::move(Stages);
     C.FinalDeps = L.FinalDeps;
     return C;
   }

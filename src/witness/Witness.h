@@ -25,6 +25,12 @@
 ///    which replays through the Evaluator independently of the legality
 ///    machinery.
 ///
+/// certify() renders the incremental legality engine's stage walk
+/// (legality/IncrementalEngine.h): the acceptance trace is the builder's
+/// mapped set read before and after each extend(), and the verdict is
+/// the builder's, so certification shares prefix-cache entries with
+/// every other caller of the uniform test and walks no stage itself.
+///
 /// checkCertificate() is the machine checker: it re-derives every stage
 /// mapping, re-tests tuple membership and lexicographic negativity, and
 /// replays concrete pairs by execution. It shares no verdict state with

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 using namespace irlt;
@@ -284,4 +288,97 @@ TEST(Pipeline, CacheCountersAreStableAcrossIdenticalRuns) {
   EXPECT_EQ(X.DepInserts, Y.DepInserts);
   EXPECT_EQ(X.DepEvictions, Y.DepEvictions);
   EXPECT_EQ(X.DepEntries, Y.DepEntries);
+}
+
+TEST(Pipeline, AnalyzeAndCheckLegalityShareOneStageWalk) {
+  // The analyzer renders the engine's walk, so once analyze() has walked
+  // a sequence, checkLegality() and certify() on the same request find
+  // every stage in the prefix cache: the bounds pipeline runs once.
+  legality::IncrementalEngine &E = legality::IncrementalEngine::global();
+  E.clear();
+  Pipeline P;
+  LoopNest Nest = load(P, Matmul);
+  ErrorOr<TransformSequence> Seq =
+      P.parseScript("interchange 1 2\nblock 1 3 8 8 8", 3);
+  ASSERT_TRUE(static_cast<bool>(Seq)) << Seq.message();
+
+  analysis::AnalysisReport AR = P.analyze(*Seq, Nest);
+  EXPECT_FALSE(AR.hasErrors());
+  legality::EngineStats AfterAnalyze = E.stats();
+
+  LegalityResult L = P.checkLegality(*Seq, Nest);
+  EXPECT_TRUE(L.Legal) << L.Reason;
+  legality::EngineStats AfterCheck = E.stats();
+  EXPECT_EQ(AfterCheck.Misses, AfterAnalyze.Misses)
+      << "checkLegality re-walked a stage analyze already walked";
+  EXPECT_EQ(AfterCheck.Hits, AfterAnalyze.Hits + Seq->size());
+
+  witness::Certificate C = P.certify(*Seq, Nest);
+  EXPECT_TRUE(C.Accepted);
+  EXPECT_EQ(C.Stages.size(), Seq->size());
+  EXPECT_EQ(E.stats().Misses, AfterAnalyze.Misses);
+  EXPECT_EQ(P.checkCertificate(C, *Seq, Nest), "");
+}
+
+TEST(Pipeline, ConcurrentAnalyzeAndCertifyMatchSerialRun) {
+  // The example scripts, analyzed and certified by 4 threads against the
+  // shared engine (cleared first, so the threads race on its inserts),
+  // must render byte-identically to a serial run.
+  struct Case {
+    LoopNest Nest;
+    TransformSequence Seq;
+  };
+  std::vector<Case> Cases;
+  Pipeline Serial;
+  std::vector<std::filesystem::path> Nests;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(IRLT_EXAMPLES_DIR))
+    if (Entry.path().extension() == ".nest")
+      Nests.push_back(Entry.path());
+  std::sort(Nests.begin(), Nests.end());
+  auto readFile = [](const std::filesystem::path &Path) {
+    std::ifstream In(Path);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    return SS.str();
+  };
+  for (const std::filesystem::path &N : Nests) {
+    std::filesystem::path Script = N;
+    Script.replace_extension(".script");
+    if (!std::filesystem::exists(Script))
+      continue;
+    LoopNest Nest = load(Serial, readFile(N).c_str());
+    ErrorOr<TransformSequence> Seq =
+        Serial.parseScript(readFile(Script), Nest.numLoops());
+    ASSERT_TRUE(static_cast<bool>(Seq)) << N << ": " << Seq.message();
+    Cases.push_back({std::move(Nest), Seq.take()});
+  }
+  ASSERT_GE(Cases.size(), 4u);
+
+  auto render = [](Pipeline &P, const Case &C) {
+    json::JsonWriter W;
+    analysis::writeReport(W, P.analyze(C.Seq, C.Nest));
+    return W.take() + "\n" + P.certify(C.Seq, C.Nest).str();
+  };
+  std::vector<std::string> Expected;
+  for (const Case &C : Cases)
+    Expected.push_back(render(Serial, C));
+
+  legality::IncrementalEngine::global().clear();
+  Pipeline Shared;
+  std::vector<std::thread> Threads;
+  std::vector<int> Bad(4, 0);
+  for (int T = 0; T < 4; ++T) {
+    Threads.emplace_back([&, T] {
+      for (size_t Round = 0; Round < 3 * Cases.size(); ++Round) {
+        size_t I = (Round + T) % Cases.size();
+        if (render(Shared, Cases[I]) != Expected[I])
+          Bad[T]++;
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  for (int B : Bad)
+    EXPECT_EQ(B, 0);
 }

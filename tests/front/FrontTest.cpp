@@ -305,6 +305,64 @@ TEST(Front, WorkerCrashAnswersInFlightStructuredAndRestarts) {
   EXPECT_GE(F.stats().ShardDownRejects.load(), 1u);
 }
 
+TEST(Front, HealthzDoesNotCountARespawnedWorkerBeforeAdoption) {
+  // A respawned worker answers healthz on its path before the supervisor
+  // adopts it, and until then routing still answers shard_down. The
+  // aggregated healthz must not count it either: whenever healthz reports
+  // every shard up, a routed request right behind it is served.
+  FrontOptions O = frontOpts("respawn-healthz", 1);
+  O.WorkerJobs = 1;
+  O.Faults.WorkerKill = true;
+  O.RestartBackoffMillis = 50;
+  O.ProbeIntervalMillis = 100;
+  Front F(O);
+  auto St = F.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    auto C = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
+    auto call = [&](const std::string &Req) {
+      EXPECT_TRUE(C->sendFrame(Req));
+      auto P = C->recvFrame(RecvMs);
+      EXPECT_TRUE(static_cast<bool>(P)) << P.message();
+      return P ? *P : std::string();
+    };
+    auto allUp = [&] {
+      return call(R"({"op":"healthz","id":"h"})").find("\"shards_up\":1") !=
+             std::string::npos;
+    };
+    const std::string Routed = std::string(R"({"id":"probe","nest":")") +
+                               MatmulEscaped +
+                               R"(","script":"interchange 1 2"})";
+    // The worker dies right after answering the marker request.
+    std::string Killed = call(std::string(R"({"id":"kill-1","nest":")") +
+                              MatmulEscaped +
+                              R"(","script":"interchange 1 2"})");
+    ASSERT_NE(Killed.find("\"ok\":true"), std::string::npos) << Killed;
+    // Wait until the front has seen the shard go down, so a later all-up
+    // report can only come from the respawned worker.
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(15);
+    while (allUp() && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Sample the respawn window back to back, no sleeps, until healthz
+    // reports the shard up and routing serves.
+    bool UpAndServed = false;
+    while (!UpAndServed && std::chrono::steady_clock::now() < Deadline) {
+      bool Up = allUp();
+      std::string R = call(Routed);
+      bool ShardDown = R.find("\"kind\":\"shard_down\"") != std::string::npos;
+      ASSERT_FALSE(Up && ShardDown)
+          << "healthz reported every shard up, routing answered " << R;
+      UpAndServed = Up && R.find("\"ok\":true") != std::string::npos;
+    }
+    EXPECT_TRUE(UpAndServed) << "worker never restarted";
+  }
+  F.requestDrain();
+  EXPECT_TRUE(F.run());
+  EXPECT_GE(F.stats().Restarts.load(), 1u);
+}
+
 TEST(Front, WedgedWorkerIsKilledByPendingAgeWatchdog) {
   FrontOptions O = frontOpts("hang", 1);
   O.WorkerJobs = 1;
