@@ -411,6 +411,17 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
   // surviving prefix, so nest() and deps() still show what it observed.
   legality::SequenceBuilder B = legality::IncrementalEngine::global().open(
       Nest, D, legality::Mode::Full);
+  // Lattice provenance of the builder's current nest: what the next stage
+  // observes, and what the last surviving stage generated.
+  unsigned WorstLoop = 0;
+  HeaderExpr WorstExpr = HeaderExpr::Lower;
+  BoundType Worst = BoundType::Const;
+  auto observe = [&] {
+    OverflowGuard Shield;
+    Worst = stateWorst(NestTypeState::fromNest(B.nest()), &WorstLoop,
+                       &WorstExpr);
+  };
+  observe();
   for (unsigned I = 0; I < Steps.size(); ++I) {
     const TemplateRef &Step = Steps[I];
     unsigned Stage = I + 1;
@@ -429,15 +440,7 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
       return Report;
     }
 
-    // Lattice provenance of the nest state this stage observes.
-    unsigned WorstLoop = 0;
-    HeaderExpr WorstExpr = HeaderExpr::Lower;
-    BoundType PreWorst = BoundType::Const;
-    {
-      OverflowGuard Shield;
-      PreWorst = stateWorst(NestTypeState::fromNest(B.nest()), &WorstLoop,
-                            &WorstExpr);
-    }
+    BoundType PreWorst = Worst;
     bool PreAllDistances = allDistanceVectors(B.deps());
 
     if (!B.extend(Step)) {
@@ -464,24 +467,19 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
       Report.Findings.push_back(std::move(F));
       break;
     }
+    observe();
 
     if (Opts.Lint) {
       // W203: this stage's generated bounds introduced a nonlinear
       // classification the input nest did not have.
       if (usesTable4(Step->kind()) ||
           Step->kind() == TransformTemplate::Kind::Coalesce) {
-        OverflowGuard Shield;
-        unsigned OutLoop = 0;
-        HeaderExpr OutExpr = HeaderExpr::Lower;
-        BoundType PostWorst =
-            stateWorst(NestTypeState::fromNest(B.nest()), &OutLoop, &OutExpr);
-        if (PostWorst == BoundType::Nonlinear &&
-            PreWorst != BoundType::Nonlinear) {
+        if (Worst == BoundType::Nonlinear && PreWorst != BoundType::Nonlinear) {
           Finding F = makeFinding("W203");
           F.Stage = Stage;
           F.TemplateName = Step->name();
-          F.Lattice = typeName(PostWorst);
-          F.Bounds = headerExprDesc(B.nest(), OutLoop, OutExpr);
+          F.Lattice = typeName(Worst);
+          F.Bounds = headerExprDesc(B.nest(), WorstLoop, WorstExpr);
           F.Message =
               Step->name() +
               " generates nonlinear loop bounds here (" + F.Bounds +
@@ -511,23 +509,20 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
     }
   }
 
-  // Final lexicographic test on the fully mapped set (isLegal part (a)).
-  if (!B.hasFailed()) {
-    LegalityResult L = B.finish();
-    if (L.Kind == LegalityResult::RejectKind::LexNegative) {
-      Finding F = makeFinding("E100");
-      F.Message = L.Why.Message;
-      for (const DepVector &V : L.FinalDeps.vectors())
-        if (V.canBeLexNegative()) {
-          F.DepVector = V.str();
-          break;
-        }
-      {
-        OverflowGuard Shield;
-        F.Lattice = typeName(stateWorst(NestTypeState::fromNest(B.nest())));
+  // Final lexicographic test on the fully mapped set (isLegal part (a));
+  // a failed builder's finish() is its stage rejection, never E100.
+  LegalityResult L = B.finish();
+  if (L.Kind == LegalityResult::RejectKind::LexNegative) {
+    Finding F = makeFinding("E100");
+    F.Message = L.Why.Message;
+    // LegalityResult names the offending vector only inside Why's text.
+    for (const DepVector &V : L.FinalDeps.vectors())
+      if (V.canBeLexNegative()) {
+        F.DepVector = V.str();
+        break;
       }
-      Report.Findings.push_back(std::move(F));
-    }
+    F.Lattice = typeName(Worst);
+    Report.Findings.push_back(std::move(F));
   }
 
   // Opt-in dependence-oracle cross-check (docs/DEPENDENCE.md): diff the

@@ -201,12 +201,13 @@ LegalityResult Pipeline::checkLegality(const TransformSequence &Seq,
   // rejected stage by stage but legal once merged into one Unimodular,
   // so a reduced() key would let one spelling poison the other. Spellings
   // that normalize to the same stages (interchange 1 2 / permute 2 1 3)
-  // still share an entry via str(). '\x01' cannot occur in either part.
+  // still share an entry via str(). The nest's spelling is keyed too: the
+  // Reason names its index variables. '\x01' cannot occur in any part.
   bool KeyOverflow = false;
   std::string Key;
   {
     OverflowGuard Guard;
-    Key = canonicalNestKey(Nest) + '\x01' + Seq.str();
+    Key = canonicalNestKey(Nest) + '\x01' + Nest.str() + '\x01' + Seq.str();
     KeyOverflow = Guard.triggered();
   }
   if (KeyOverflow) // not cacheable; see dependences()

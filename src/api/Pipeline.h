@@ -19,7 +19,7 @@
 /// canonical structural fingerprints (ir/NestHash.h):
 ///
 ///   - dependence-analysis results per nest, and
-///   - legality verdicts per (nest fingerprint, sequence rendering);
+///   - legality verdicts per (nest fingerprint + spelling, sequence rendering);
 ///
 /// repeated nests across a corpus - the common case in fuzz corpora and
 /// search ladders - hit the cache instead of re-running Fourier-Motzkin.
@@ -28,6 +28,7 @@
 /// legality test observe (alpha-renamed index variables, reordered
 /// bound terms), templates address loops positionally, and verdicts are
 /// deterministic - so a hit returns byte-identical results to a miss.
+/// (A verdict's Reason names index variables, hence the nest's spelling.)
 /// (The legality key deliberately uses the sequence as written, not its
 /// reduced() form: legality is not reduction-invariant - Figure 1's
 /// skew+interchange is rejected staged but legal merged.) Coefficient

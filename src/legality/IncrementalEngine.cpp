@@ -511,11 +511,11 @@ SequenceBuilder IncrementalEngine::open(const LoopNest &Nest, const DepSet &D,
   if (M == Mode::Fast)
     Root->Types = NestTypeState::fromNest(Nest);
   B.Cur = std::move(Root);
-  // Root key: nest fingerprint + rendered dependence set + mode. A
-  // saturated fingerprint could collide with a different root's, so such
-  // a root is simply not cacheable (the api::Pipeline rule).
+  // Root key: nest fingerprint + spelling + rendered dependence set +
+  // mode. A saturated fingerprint could collide with a different root's,
+  // so such a root is simply not cacheable (the api::Pipeline rule).
   OverflowGuard Guard;
-  B.Key = canonicalNestKey(Nest);
+  B.Key = canonicalNestKey(Nest) + '\x01' + Nest.str();
   B.Key += '\x01';
   B.Key += D.str();
   B.Key += '\x01';

@@ -24,11 +24,12 @@
 ///
 /// Cache key discipline (the soundness core):
 ///
-///  - The root key is canonicalNestKey(Nest) + the rendered dependence
-///    set + the mode. The dependence set is part of the key because the
-///    same nest shape is routinely checked against synthetic sets (the
-///    fuzzer, the benchmarks); fingerprinting the nest alone would merge
-///    them.
+///  - The root key is canonicalNestKey(Nest) + the nest as spelled +
+///    the rendered dependence set + the mode. Cached verdicts and stage
+///    nests carry the spelling's index-variable names and term order. The
+///    dependence set is part of the key because the same nest shape is
+///    routinely checked against synthetic sets (the fuzzer, the
+///    benchmarks); fingerprinting the nest alone would merge them.
 ///  - Prefixes are keyed on the stages *as written* (each stage's
 ///    str()), never on the reduced() form: legality is not
 ///    reduction-invariant (Figure 1's skew+interchange is rejected

@@ -30,6 +30,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -65,7 +66,7 @@ public:
       return It->second->second;
     }
     Order.emplace_front(Key, std::move(Val));
-    Index.emplace(Key, Order.begin());
+    Index.emplace(Order.front().first, Order.begin());
     ++Inserts;
     if (Cap && Order.size() > Cap) {
       Index.erase(Order.back().first);
@@ -96,7 +97,8 @@ private:
   size_t Cap;
   /// Front = most recently used.
   std::list<std::pair<std::string, std::shared_ptr<const V>>> Order;
-  std::unordered_map<std::string,
+  /// Views the keys Order's nodes own, which never move while indexed.
+  std::unordered_map<std::string_view,
                      typename std::list<
                          std::pair<std::string, std::shared_ptr<const V>>>::
                          iterator>

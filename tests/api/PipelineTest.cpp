@@ -320,6 +320,64 @@ TEST(Pipeline, AnalyzeAndCheckLegalityShareOneStageWalk) {
   EXPECT_EQ(P.checkCertificate(C, *Seq, Nest), "");
 }
 
+TEST(Pipeline, SpellingTwinsRenderTheirOwnTextOnAWarmEngine) {
+  // Alpha-renamed and term-reordered twins of a nest share dependence
+  // entries, but every text a stage derives from the nest - the E101
+  // message and bounds, the verdict's Reason, the certificate - must be
+  // the twin's own, whichever spelling warmed the engine and the legality
+  // cache first.
+  struct TwinCase {
+    const char *First, *Twin, *Script, *TwinText, *FirstText;
+  };
+  const TwinCase Cases[] = {
+      {Stencil,
+       "do p = 2, n - 1\n"
+       "  do q = 2, n - 1\n"
+       "    a(p, q) = (a(p, q) + a(p - 1, q) + a(p, q - 1) + "
+       "a(p + 1, q) + a(p, q + 1)) / 5\n"
+       "  enddo\n"
+       "enddo\n",
+       "skew 2 1 1\ncoalesce 1 2", "`max(pp - n + 1, 2)`", "ii"},
+      // Stage 1 copies the bounds as written, so stage 2's E101 prints
+      // them in the twin's term order.
+      {"do i = 1, n - 1\n"
+       "  do j = i + 1, n\n"
+       "    a(i, j) = a(i - 1, j) + 1\n"
+       "  enddo\n"
+       "enddo\n",
+       "do i = 1, -1 + n\n"
+       "  do j = 1 + i, n\n"
+       "    a(i, j) = a(i - 1, j) + 1\n"
+       "  enddo\n"
+       "enddo\n",
+       "reverse 1\ncoalesce 1 2", "`1 + i`", "`i + 1`"},
+  };
+  for (const TwinCase &C : Cases) {
+    SCOPED_TRACE(C.Twin);
+    auto render = [&](Pipeline &P, const LoopNest &Nest) {
+      ErrorOr<TransformSequence> Seq =
+          P.parseScript(C.Script, Nest.numLoops());
+      EXPECT_TRUE(static_cast<bool>(Seq)) << Seq.message();
+      json::JsonWriter W;
+      analysis::writeReport(W, P.analyze(*Seq, Nest));
+      return W.take() + "\n" + P.checkLegality(*Seq, Nest).Reason + "\n" +
+             P.certify(*Seq, Nest).str();
+    };
+
+    legality::IncrementalEngine::global().clear();
+    Pipeline Cold;
+    std::string Expected = render(Cold, load(Cold, C.Twin));
+    EXPECT_NE(Expected.find("E101"), std::string::npos) << Expected;
+    EXPECT_NE(Expected.find(C.TwinText), std::string::npos) << Expected;
+    EXPECT_EQ(Expected.find(C.FirstText), std::string::npos) << Expected;
+
+    legality::IncrementalEngine::global().clear();
+    Pipeline Warm;
+    render(Warm, load(Warm, C.First));
+    EXPECT_EQ(render(Warm, load(Warm, C.Twin)), Expected);
+  }
+}
+
 TEST(Pipeline, ConcurrentAnalyzeAndCertifyMatchSerialRun) {
   // The example scripts, analyzed and certified by 4 threads against the
   // shared engine (cleared first, so the threads race on its inserts),
