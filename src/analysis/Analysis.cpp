@@ -378,10 +378,6 @@ TransformSequence irlt::analysis::fixitSequence(const TransformSequence &T) {
   }
 }
 
-bool irlt::analysis::finalDepsRejectable(const DepSet &MappedFinal) {
-  return !MappedFinal.allLexNonNegative();
-}
-
 AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
                                                const LoopNest &Nest,
                                                const DepSet &D,

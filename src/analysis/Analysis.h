@@ -150,12 +150,6 @@ bool isIdentityStage(const TransformTemplate &T);
 /// May be empty (the identity sequence).
 TransformSequence fixitSequence(const TransformSequence &T);
 
-/// Cheap error-only scan used by the search pre-filter: true when the
-/// final mapped dependence set admits a lexicographically negative tuple
-/// (rule E100) - such a candidate cannot pass isLegal and need not be
-/// costed.
-bool finalDepsRejectable(const DepSet &MappedFinal);
-
 /// Writes the standard findings object (the caller has already emitted
 /// the surrounding key): {"errors": n, "warnings": m, "findings": [...]}
 /// with one object per finding; empty provenance fields are omitted.

@@ -139,19 +139,23 @@ unsigned emitDirective(Rng &R, unsigned Size, const ScriptGenOptions &Opts,
       unsigned Ops = 1 + static_cast<unsigned>(R.below(2));
       for (unsigned Op = 0; Op < Ops; ++Op) {
         unsigned A = static_cast<unsigned>(R.below(Size));
+        // Overflow-mode coefficients overflow int64 here; the row
+        // operations wrap (two's complement through uint64_t), which keeps
+        // every generated matrix, and so every corpus and seed, as it was.
         switch (Size < 2 ? 1u : static_cast<unsigned>(R.below(3))) {
         case 0: { // row_b += c * row_a
           unsigned B = static_cast<unsigned>(R.below(Size));
           if (B == A)
             B = (B + 1) % Size;
-          int64_t C = coefficient(R, Opts.OverflowMode);
+          uint64_t C = static_cast<uint64_t>(coefficient(R, Opts.OverflowMode));
           for (unsigned K = 0; K < Size; ++K)
-            M[B][K] += C * M[A][K];
+            M[B][K] = static_cast<int64_t>(static_cast<uint64_t>(M[B][K]) +
+                                           C * static_cast<uint64_t>(M[A][K]));
           break;
         }
         case 1: // negate a row
           for (unsigned K = 0; K < Size; ++K)
-            M[A][K] = -M[A][K];
+            M[A][K] = static_cast<int64_t>(0 - static_cast<uint64_t>(M[A][K]));
           break;
         default: { // swap two rows
           unsigned B = static_cast<unsigned>(R.below(Size));

@@ -511,6 +511,8 @@ SequenceBuilder IncrementalEngine::open(const LoopNest &Nest, const DepSet &D,
   if (M == Mode::Fast)
     Root->Types = NestTypeState::fromNest(Nest);
   B.Cur = std::move(Root);
+  if (!Opts.EnableCache)
+    return B; // never consulted: the builder stays keyless
   // Root key: nest fingerprint + spelling + rendered dependence set +
   // mode. A saturated fingerprint could collide with a different root's,
   // so such a root is simply not cacheable (the api::Pipeline rule).

@@ -199,7 +199,8 @@ public:
   IncrementalEngine &operator=(const IncrementalEngine &) = delete;
 
   /// Opens a builder rooted at (\p Nest, \p D). Cheap: the root state is
-  /// built directly, only extensions consult the cache.
+  /// built directly, only extensions consult the cache. With the cache
+  /// off the builder builds no keys at all.
   SequenceBuilder open(const LoopNest &Nest, const DepSet &D,
                        Mode M = Mode::Full);
 

@@ -6,10 +6,9 @@
 
 #include "search/Search.h"
 
-#include "analysis/Analysis.h"
+#include "legality/IncrementalEngine.h"
 #include "support/MathUtils.h"
 #include "transform/Templates.h"
-#include "transform/TypeState.h"
 
 #include <algorithm>
 #include <atomic>
@@ -26,16 +25,15 @@ using namespace irlt::search;
 namespace {
 
 /// One node of the beam: a transformation prefix that survived the fast
-/// legality pruning, carried entirely in mapped form (type state and
-/// dependence set) - the nest itself is never touched during expansion,
-/// exactly the paper's Section 4.3 efficiency argument.
+/// legality pruning. Its legality state is the engine's fast-mode builder
+/// over Seq (type state and mapped dependence set) - the nest itself is
+/// never touched during expansion, exactly the paper's Section 4.3
+/// efficiency argument.
 struct BeamState {
   TransformSequence Seq;
   /// reduce()-canonical rendering: the dedup and tie-break key.
   std::string Key;
-  NestTypeState Types;
-  DepSet Deps;
-  unsigned OutN = 0;
+  legality::SequenceBuilder Walk;
   /// Leaf cost of this prefix; ranks the beam.
   double Cost = 0.0;
 };
@@ -131,14 +129,15 @@ struct LeafEval {
 LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
                      const SearchOptions &Opts, CostModel *CM) {
   LeafEval E;
+  const unsigned OutN = St.Walk.outputLoops();
 
   // A trailing Parallelize, chosen greedily against the final mapped
   // dependence set - never enumerated as a search step.
-  std::vector<bool> Flags(St.OutN, false);
+  std::vector<bool> Flags(OutN, false);
   if (Opts.Obj != Objective::Locality)
-    Flags = chooseFlags(St.Deps, St.OutN, Opts.Par);
+    Flags = chooseFlags(St.Walk.deps(), OutN, Opts.Par);
   std::vector<unsigned> ParallelLoops;
-  for (unsigned K = 0; K < St.OutN; ++K)
+  for (unsigned K = 0; K < OutN; ++K)
     if (Flags[K])
       ParallelLoops.push_back(K);
 
@@ -146,7 +145,7 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
   for (const TemplateRef &T : St.Seq.steps())
     CheapBase &= T->kind() == TransformTemplate::Kind::ReversePermute;
   long Score =
-      ParallelLoops.empty() ? 0 : parScoreOf(ParallelLoops, St.OutN, CheapBase);
+      ParallelLoops.empty() ? 0 : parScoreOf(ParallelLoops, OutN, CheapBase);
 
   double Miss = -1.0;
   if (Opts.Obj != Objective::Parallelism) {
@@ -186,10 +185,10 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
   {
     OverflowGuard Guard;
     DepSet Final = ParallelLoops.empty()
-                       ? St.Deps
-                       : makeParallelize(St.OutN, Flags)
-                             ->mapDependences(St.Deps);
-    if (!Guard.triggered() && analysis::finalDepsRejectable(Final)) {
+                       ? St.Walk.deps()
+                       : makeParallelize(OutN, Flags)
+                             ->mapDependences(St.Walk.deps());
+    if (!Guard.triggered() && !Final.allLexNonNegative()) {
       E.AnalyzerPruned = true;
       return E;
     }
@@ -197,7 +196,7 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
 
   TransformSequence LeafSeq = St.Seq;
   if (!ParallelLoops.empty())
-    LeafSeq.append(makeParallelize(St.OutN, Flags));
+    LeafSeq.append(makeParallelize(OutN, Flags));
 
   E.Submitted = true;
   // Leaves are re-confirmed with the *full* uniform legality test: the
@@ -279,11 +278,15 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     return Evals;
   };
 
-  BeamState Root;
+  // Expansion extends the engine's fast-mode walk, uncached: pair
+  // extensions are mostly one-off prefixes, so a shared cache would only
+  // add key building, locking and resident entries (docs/SEARCH.md).
+  legality::EngineOptions ExpandOpts;
+  ExpandOpts.EnableCache = false;
+  legality::IncrementalEngine Expand(ExpandOpts);
+  BeamState Root{TransformSequence(), "",
+                 Expand.open(Nest, D, legality::Mode::Fast)};
   Root.Key = Root.Seq.str();
-  Root.Types = NestTypeState::fromNest(Nest);
-  Root.Deps = D;
-  Root.OutN = N;
   S.Enumerated = 1;
 
   std::vector<BeamState> Frontier;
@@ -301,11 +304,11 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     Visited.insert(Frontier[0].Key);
 
   for (unsigned Level = 1; Level <= Opts.Depth && !Frontier.empty(); ++Level) {
-    // Expansion: each frontier state's step candidates are pruned with
-    // the fast path - type-state propagation (stage bounds preconditions
-    // on types alone) plus the anchor-dependence side condition on the
-    // *current* mapped set. The lexicographic test is deliberately
-    // absent here: intermediate stages need not be legal.
+    // Expansion: each frontier state's step candidates are pruned by
+    // extending its fast-mode builder - type-state propagation (stage
+    // bounds preconditions on types alone) plus the anchor-dependence
+    // side condition on the *current* mapped set. The lexicographic test
+    // is deliberately absent here: intermediate stages need not be legal.
     //
     // The work unit is one (frontier state, candidate) pair, not one
     // frontier state: a frontier of beam-width states expands to
@@ -319,12 +322,15 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     // one list per distinct width is enumerated up front and shared
     // read-only by all workers.
     std::map<unsigned, std::vector<TemplateRef>> CandsByN;
-    for (const BeamState &St : Frontier)
-      if (!CandsByN.count(St.OutN))
-        CandsByN.emplace(St.OutN, stepCandidates(St.OutN, Opts.Candidates));
+    for (const BeamState &St : Frontier) {
+      unsigned OutN = St.Walk.outputLoops();
+      if (!CandsByN.count(OutN))
+        CandsByN.emplace(OutN, stepCandidates(OutN, Opts.Candidates));
+    }
     std::vector<size_t> Offset(Frontier.size() + 1, 0);
     for (size_t I = 0; I < Frontier.size(); ++I)
-      Offset[I + 1] = Offset[I] + CandsByN.at(Frontier[I].OutN).size();
+      Offset[I + 1] =
+          Offset[I] + CandsByN.at(Frontier[I].Walk.outputLoops()).size();
 
     // One slot per pair: engaged iff the extension survived the pruning.
     std::vector<std::optional<BeamState>> PairSlots(Offset.back());
@@ -333,27 +339,17 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
           std::upper_bound(Offset.begin(), Offset.end(), P) - Offset.begin() -
           1);
       const BeamState &St = Frontier[I];
-      const TemplateRef &T = CandsByN.at(St.OutN)[P - Offset[I]];
+      const TemplateRef &T = CandsByN.at(St.Walk.outputLoops())[P - Offset[I]];
+      legality::SequenceBuilder Walk = St.Walk;
+      if (!Walk.extend(T))
+        return;
+      TransformSequence Seq = St.Seq;
+      Seq.append(T);
       OverflowGuard Guard;
-      std::optional<ErrorOr<NestTypeState>> MT = mapTypes(*T, St.Types);
-      if (Guard.triggered() || !MT || !*MT)
-        return;
-      std::string AnchorErr = checkAnchorDependence(*T, St.Types, St.Deps);
-      if (Guard.triggered() || !AnchorErr.empty())
-        return;
-      DepSet Mapped = T->mapDependences(St.Deps);
-      if (Guard.triggered())
-        return;
-      BeamState NS;
-      NS.Seq = St.Seq;
-      NS.Seq.append(T);
-      NS.Key = NS.Seq.reduced().str();
+      std::string Key = Seq.reduced().str();
       if (Guard.triggered()) // reduce() multiplies matrices
         return;
-      NS.Types = MT->take();
-      NS.Deps = std::move(Mapped);
-      NS.OutN = T->outputSize();
-      PairSlots[P] = std::move(NS);
+      PairSlots[P] = BeamState{std::move(Seq), std::move(Key), std::move(Walk)};
     });
 
     // Deterministic merge in (frontier, candidate) order; peephole-
@@ -393,7 +389,7 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
                 return A.Key < B.Key;
               });
     if (Next.size() > Opts.Beam)
-      Next.resize(Opts.Beam);
+      Next.erase(Next.begin() + Opts.Beam, Next.end());
     Frontier = std::move(Next);
   }
 

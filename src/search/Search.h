@@ -40,9 +40,11 @@
 /// queueing behind whole states. Requested thread counts are clamped to
 /// the hardware concurrency (oversubscribing a deterministic CPU-bound
 /// search only adds scheduling overhead), which the contract above makes
-/// unobservable. Leaf confirmations run through the process-wide
-/// prefix-memoized legality engine (legality/IncrementalEngine.h), so
-/// concurrent workers share each other's surviving prefixes.
+/// unobservable. Expansion extends each state's fast-mode builder on a
+/// search-local engine with its cache off; leaf confirmations run
+/// through the process-wide prefix-memoized legality engine
+/// (legality/IncrementalEngine.h), so concurrent workers share each
+/// other's surviving prefixes.
 ///
 //===----------------------------------------------------------------------===//
 

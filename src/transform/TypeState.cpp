@@ -507,7 +507,7 @@ ErrorOr<NestTypeState> mapBlock(const BlockTemplate &T,
     B.EndComposite = In.EndComposite;
     std::optional<int64_t> BV = T.bsize()[K - Lo]->constValue();
     if (In.StepConst && BV) {
-      B.StepConst = *In.StepConst * *BV;
+      B.StepConst = mulChecked(*In.StepConst, *BV);
       B.Step = ExprTypes::constant();
     } else {
       B.StepConst = std::nullopt;

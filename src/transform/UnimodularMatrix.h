@@ -64,7 +64,12 @@ public:
 
   /// True iff |det| == 1 (all entries are integers by construction and
   /// the matrix is square by construction - property 3 of footnote 1).
-  bool isUnimodular() const { return std::abs(determinant()) == 1; }
+  /// Compares rather than takes std::abs: a saturated determinant is
+  /// INT64_MIN, whose negation overflows.
+  bool isUnimodular() const {
+    int64_t Det = determinant();
+    return Det == 1 || Det == -1;
+  }
 
   /// Matrix product (this * O): applying O first, then this.
   UnimodularMatrix operator*(const UnimodularMatrix &O) const;

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Unit tests for the static diagnostic engine: registry integrity,
-/// identity-stage detection, the fix-it fixed point, the error-clean
-/// <=> isLegal agreement invariant on hand-picked sequences, and the
-/// E100 pre-filter predicate the search engine uses.
+/// identity-stage detection, the fix-it fixed point, and the error-clean
+/// <=> isLegal agreement invariant on hand-picked sequences.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -235,16 +234,6 @@ TEST(Analyze, CrossCheckDepsCleanOnAgreeingNest) {
     EXPECT_NE(F.RuleId, "W205") << F.Message;
     EXPECT_NE(F.RuleId, "W206") << F.Message;
   }
-}
-
-TEST(PreFilter, FinalDepsRejectableMatchesLexTest) {
-  LoopNest N = nest(RectDep);
-  DepSet D = analyzeDependences(N);
-  EXPECT_FALSE(finalDepsRejectable(D));
-
-  TransformSequence Rev = script("reverse 1", 2);
-  DepSet Mapped = Rev.steps()[0]->mapDependences(D);
-  EXPECT_TRUE(finalDepsRejectable(Mapped));
 }
 
 } // namespace

@@ -208,6 +208,27 @@ TEST(SequenceBuilder, SaturatedStagesAreNeverCached) {
   EXPECT_EQ(Eng.stats().Uncacheable, 2u);
 }
 
+TEST(SequenceBuilder, HugeBlockedStepIsAGuardedOverflow) {
+  // The Block type rule multiplies a constant step by a constant block
+  // size to get the block loop's step: 3037000787 * 3037001363 exceeds
+  // int64, which the fast walk must report as a stage Overflow rather
+  // than compute.
+  LoopNest N = parse("do i = 1, n, 3037000787\n"
+                     "  a(i) = a(i) + 1\nenddo\n");
+  DepSet D = analyzeDependences(N);
+  TransformSequence S =
+      TransformSequence::of({makeBlock(1, 1, 1, {Expr::intConst(3037001363)})});
+
+  LegalityResult Ref = IncrementalEngine::reference(S, N, D, Mode::Fast);
+  ASSERT_FALSE(Ref.Legal);
+  EXPECT_EQ(Ref.Kind, LegalityResult::RejectKind::Overflow) << Ref.Reason;
+  EXPECT_EQ(Ref.Why.Stage, 1u);
+
+  IncrementalEngine Eng;
+  expectSameVerdict(Eng.check(S, N, D, Mode::Fast), Ref, "huge blocked step");
+  EXPECT_EQ(Eng.stats().Uncacheable, 1u);
+}
+
 TEST(SequenceBuilder, EvictionIsTransparent) {
   LoopNest N = parse("do i = 1, n\n  do j = 1, n\n"
                      "    a(i, j) = a(i - 1, j) + a(i, j - 1)\n"

@@ -11,12 +11,17 @@
 #include "dependence/DepAnalysis.h"
 #include "eval/Verify.h"
 #include "ir/Parser.h"
+#include "legality/IncrementalEngine.h"
 #include "search/CostModel.h"
 #include "search/Search.h"
+#include "support/FileIO.h"
 #include "transform/AutoPar.h"
 #include "transform/Templates.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
 
 using namespace irlt;
 using namespace irlt::search;
@@ -255,6 +260,47 @@ TEST(Search, StepCandidatesAreBoundedAndOrdered) {
       SUCCEED();
     }
   EXPECT_LT(C6.size(), 200u);
+}
+
+TEST(Search, ExpansionPrunesExactlyTheFastWalksStageRejections) {
+  // Depth 1 under the parallelism objective expands only the root, so
+  // every enumerated step is one single-stage extension. The search must
+  // prune exactly the steps the independent uncached fast walk rejects at
+  // a stage; a final lexicographic rejection is not a pruning verdict.
+  std::vector<std::string> Paths;
+  for (const auto &Ent : std::filesystem::directory_iterator(IRLT_EXAMPLES_DIR))
+    if (Ent.path().extension() == ".nest")
+      Paths.push_back(Ent.path().string());
+  std::sort(Paths.begin(), Paths.end());
+  ASSERT_FALSE(Paths.empty());
+
+  using RK = LegalityResult::RejectKind;
+  uint64_t TotalPruned = 0;
+  for (const std::string &Path : Paths) {
+    std::string Source;
+    ASSERT_TRUE(readFile(Path, Source)) << Path;
+    LoopNest Nest = parse(Source);
+    DepSet D = analyzeDependences(Nest);
+
+    SearchOptions Opts;
+    Opts.Obj = Objective::Parallelism;
+    Opts.Depth = 1;
+    SearchResult R = searchTransformations(Nest, D, Opts);
+    ASSERT_TRUE(R.Error.empty()) << Path << ": " << R.Error;
+
+    uint64_t StageRejections = 0;
+    for (const TemplateRef &T :
+         stepCandidates(Nest.numLoops(), Opts.Candidates)) {
+      LegalityResult L = legality::IncrementalEngine::reference(
+          TransformSequence::of({T}), Nest, D, legality::Mode::Fast);
+      if (L.Kind != RK::None && L.Kind != RK::LexNegative)
+        ++StageRejections;
+    }
+    EXPECT_EQ(R.Stats.Pruned, StageRejections) << Path;
+    TotalPruned += R.Stats.Pruned;
+  }
+  // Some example must exercise the pruning at all.
+  EXPECT_GT(TotalPruned, 0u);
 }
 
 } // namespace

@@ -37,13 +37,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Pipeline.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -60,16 +59,6 @@ void usage(const char *Argv0) {
                "present.\n"
                "exit status: 0 clean, 2 error-class findings, 1 error\n",
                Argv0);
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 struct Input {

@@ -48,12 +48,12 @@
 
 #include "engine/Engine.h"
 #include "support/Bindings.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -183,15 +183,9 @@ int main(int argc, char **argv) {
     std::ostringstream SS;
     SS << std::cin.rdbuf();
     Input = SS.str();
-  } else {
-    std::ifstream In(InputPath, std::ios::binary);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot read '%s'\n", InputPath.c_str());
-      return 1;
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Input = SS.str();
+  } else if (!readFile(InputPath, Input)) {
+    std::fprintf(stderr, "error: cannot read '%s'\n", InputPath.c_str());
+    return 1;
   }
 
   Opts.StopFlag = &GStop;

@@ -36,13 +36,13 @@
 #include "cgen/Cgen.h"
 #include "cgen/NativeRunner.h"
 #include "support/Bindings.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/Printing.h"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 using namespace irlt;
 
@@ -56,16 +56,6 @@ void usage(const char *Argv0) {
                "exit status: 0 emitted/matched, 1 error, 2 mismatch,\n"
                "             3 compile/run failure, 4 no compiler\n",
                Argv0);
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 int fail(bool JsonMode, const std::string &Message) {

@@ -75,11 +75,10 @@
 #include "deps/CrossCheck.h"
 #include "deps/ScopIO.h"
 #include "support/Bindings.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace irlt;
 
@@ -95,16 +94,6 @@ void usage(const char *Argv0) {
       "          [--deps-diff] [--export-scop] [--import-scop] [--json]\n"
       "exit status: 0 success/legal, 2 illegal sequence, 1 error\n",
       Argv0);
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 /// JSON-mode failure record; text mode already wrote to stderr.

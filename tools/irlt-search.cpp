@@ -48,12 +48,12 @@
 
 #include "api/Pipeline.h"
 #include "support/Bindings.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace irlt;
@@ -70,27 +70,11 @@ void usage(const char *Argv0) {
                Argv0);
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
+/// A count option: decimal digits, at most 1,000,000.
 bool parseUnsigned(const std::string &S, unsigned &Out) {
-  if (S.empty())
+  uint64_t V = 0;
+  if (!parseU64(S, V) || V > 1'000'000)
     return false;
-  unsigned long V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(C - '0');
-    if (V > 1'000'000)
-      return false;
-  }
   Out = static_cast<unsigned>(V);
   return true;
 }
@@ -100,19 +84,10 @@ bool parseIntList(const std::string &S, std::vector<int64_t> &Out) {
   std::istringstream SS(S);
   std::string Item;
   while (std::getline(SS, Item, ',')) {
-    if (Item.empty())
+    uint64_t V = 0;
+    if (!parseU64(Item, V) || V == 0 || V > INT64_MAX)
       return false;
-    int64_t V = 0;
-    for (char C : Item) {
-      if (C < '0' || C > '9')
-        return false;
-      if (V > (INT64_MAX - (C - '0')) / 10)
-        return false;
-      V = V * 10 + (C - '0');
-    }
-    if (V <= 0)
-      return false;
-    Out.push_back(V);
+    Out.push_back(static_cast<int64_t>(V));
   }
   return !Out.empty();
 }

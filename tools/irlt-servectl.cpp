@@ -43,12 +43,11 @@
 #include "engine/Engine.h"
 #include "serve/Client.h"
 #include "support/Bindings.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -181,14 +180,12 @@ ErrorOr<std::string> retryLine(const Target &T, const std::string &Line,
 }
 
 int runSend(const Target &T, const std::string &Path, uint64_t MaxRetries) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
     return 1;
   }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  std::vector<std::string> Lines = engine::splitLines(SS.str());
+  std::vector<std::string> Lines = engine::splitLines(Text);
 
   ErrorOr<ClientConn> C = T.connect();
   if (!C) {
