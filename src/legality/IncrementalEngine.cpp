@@ -241,7 +241,7 @@ ExtendComputed extendFull(const PrefixState &P, const TemplateRef &Step,
                  .inTemplate(Step->name()));
     return true;
   };
-  std::string E = Step->checkPreconditions(P.Nest);
+  std::string E = Step->checkPreconditions(*P.Nest);
   if (overflowed())
     return C;
   if (!E.empty()) {
@@ -251,7 +251,7 @@ ExtendComputed extendFull(const PrefixState &P, const TemplateRef &Step,
                  .inTemplate(Step->name()));
     return C;
   }
-  E = checkAnchorDependence(*Step, NestTypeState::fromNest(P.Nest), P.Deps);
+  E = checkAnchorDependence(*Step, NestTypeState::fromNest(*P.Nest), P.Deps);
   if (overflowed())
     return C;
   if (!E.empty()) {
@@ -261,7 +261,7 @@ ExtendComputed extendFull(const PrefixState &P, const TemplateRef &Step,
                  .inTemplate(Step->name()));
     return C;
   }
-  ErrorOr<LoopNest> Next = Step->apply(P.Nest);
+  ErrorOr<LoopNest> Next = Step->apply(*P.Nest);
   if (overflowed())
     return C;
   if (!Next) {
@@ -272,7 +272,7 @@ ExtendComputed extendFull(const PrefixState &P, const TemplateRef &Step,
   }
   PrefixState NS;
   NS.Len = Stage;
-  NS.Nest = Next.take();
+  NS.Nest = std::make_shared<const LoopNest>(Next.take());
   NS.Deps = Step->mapDependences(P.Deps);
   if (overflowed())
     return C;
@@ -332,7 +332,7 @@ ExtendComputed extendFast(const PrefixState &P,
   }
   // No type rule: materialize the concrete nest up to this stage (the
   // builder carries the as-written prefix stages) and apply for real.
-  LoopNest Applied = P.Nest;
+  LoopNest Applied = *P.Nest;
   for (size_t I = P.AppliedThrough; I + 1 < Stage; ++I) {
     ErrorOr<LoopNest> NextNest = Steps[I]->apply(Applied);
     if (overflowed())
@@ -357,9 +357,9 @@ ExtendComputed extendFast(const PrefixState &P,
   }
   PrefixState NS;
   NS.Len = Stage;
-  NS.Nest = NextNest.take();
+  NS.Nest = std::make_shared<const LoopNest>(NextNest.take());
   NS.AppliedThrough = Stage;
-  NS.Types = NestTypeState::fromNest(NS.Nest);
+  NS.Types = NestTypeState::fromNest(*NS.Nest);
   NS.Deps = Step->mapDependences(P.Deps);
   if (overflowed())
     return C;
@@ -387,7 +387,7 @@ const DepSet &SequenceBuilder::deps() const {
 
 const LoopNest &SequenceBuilder::nest() const {
   static const LoopNest Empty;
-  return Cur ? Cur->Nest : Empty;
+  return Cur ? *Cur->Nest : Empty;
 }
 
 unsigned SequenceBuilder::outputLoops() const {
@@ -395,7 +395,7 @@ unsigned SequenceBuilder::outputLoops() const {
     return 0;
   if (M == Mode::Fast && Cur->AppliedThrough < Cur->Len)
     return Cur->Types.numLoops();
-  return Cur->Nest.numLoops();
+  return Cur->Nest->numLoops();
 }
 
 bool SequenceBuilder::extend(const TemplateRef &Step) {
@@ -506,7 +506,7 @@ SequenceBuilder IncrementalEngine::open(const LoopNest &Nest, const DepSet &D,
   B.E = this;
   B.M = M;
   auto Root = std::make_shared<PrefixState>();
-  Root->Nest = Nest;
+  Root->Nest = std::make_shared<const LoopNest>(Nest);
   Root->Deps = D;
   if (M == Mode::Fast)
     Root->Types = NestTypeState::fromNest(Nest);

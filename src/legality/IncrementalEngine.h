@@ -83,8 +83,9 @@ struct PrefixState {
   /// Full mode: the concrete nest after the prefix. Fast mode: the
   /// materialized nest through AppliedThrough stages (the lazy fallback
   /// for extension templates), i.e. still the root nest until a Custom
-  /// stage forces materialization.
-  LoopNest Nest;
+  /// stage forces materialization. Shared, so fast-mode states that
+  /// only propagate types hold the root nest by pointer, not by copy.
+  std::shared_ptr<const LoopNest> Nest;
   /// Fast mode: the Section 4.3 type state after the prefix. (Full mode
   /// recomputes the state from Nest per stage, exactly like the legacy
   /// walk.)

@@ -97,11 +97,6 @@ CostModel::CostModel(const LoopNest &Nest, CostModelOptions Opts)
     this->Opts.Params = defaultBindings(Nest);
 }
 
-std::optional<double> CostModel::baseline() {
-  TransformSequence Empty;
-  return missRatio(Empty, Empty.str());
-}
-
 std::optional<double> CostModel::missRatio(const TransformSequence &Seq,
                                            const std::string &Key) {
   {
@@ -113,23 +108,21 @@ std::optional<double> CostModel::missRatio(const TransformSequence &Seq,
   // Measure outside the lock: concurrent workers may race on the same key,
   // but the measurement is deterministic, so whichever insert wins stores
   // the same value.
-  std::optional<double> Ratio = measure(Seq);
+  ErrorOr<LoopNest> Transformed = applySequence(Seq, Nest);
+  std::optional<double> Ratio =
+      Transformed ? missRatio(*Transformed) : std::nullopt;
   std::lock_guard<std::mutex> Lock(MemoMutex);
   Memo.emplace(Key, Ratio);
   return Ratio;
 }
 
-std::optional<double> CostModel::measure(const TransformSequence &Seq) {
+std::optional<double> CostModel::missRatio(const LoopNest &Transformed) {
   if (!Unusable.empty())
     return std::nullopt;
 
   OverflowGuard Guard;
-  ErrorOr<LoopNest> Transformed = applySequence(Seq, Nest);
-  if (Guard.triggered() || !Transformed)
-    return std::nullopt;
-
   if (std::optional<AccessProgram> Program =
-          AccessProgram::lower(*Transformed, Opts.Params)) {
+          AccessProgram::lower(Transformed, Opts.Params)) {
     AccessProgram::Result R = Program->run(Opts.Cache, Opts.MaxInstances);
     switch (R.St) {
     case AccessProgram::Status::Measured:
@@ -141,7 +134,7 @@ std::optional<double> CostModel::measure(const TransformSequence &Seq) {
     }
   }
   ++Fallbacks;
-  return interpret(*Transformed, Guard);
+  return interpret(Transformed, Guard);
 }
 
 std::optional<double>

@@ -8,11 +8,17 @@
 ///
 /// \file
 /// The effectiveness half of the Section 5/6 optimizer story: rank legal
-/// transformation alternatives without committing to any. A candidate
-/// sequence is applied to a scratch copy of the nest, executed under
-/// *small* parameter bindings, and its address stream fed through the
-/// set-associative cache simulator (src/cachesim/); the resulting miss
-/// ratio is the locality cost.
+/// transformation alternatives without committing to any. A transformed
+/// nest is executed under *small* parameter bindings, and its address
+/// stream fed through the set-associative cache simulator (src/cachesim/);
+/// the resulting miss ratio is the locality cost.
+///
+/// The search measures the nest its own full-mode legality walk built
+/// (missRatio(const LoopNest &)), so each candidate is applied once, by
+/// the walk that also confirms it. The sequence overload applies the
+/// sequence to the source nest first and memoizes on the caller's key;
+/// it serves callers that hold only a sequence (the fuzzer's --search
+/// oracle, the anatomy trace).
 ///
 /// Execution goes through a lowered access program (AccessProgram.h):
 /// the nest compiled under the bindings into slot-indexed postfix code
@@ -23,15 +29,8 @@
 /// lowering declines (array reads that steer addressing or bounds, a
 /// store above the cell cap).
 ///
-/// Measurements are memoized on the sequence's reduce()-canonicalized
-/// rendering, so peephole-equivalent prefixes (e.g. two adjacent
-/// Unimodular steps and their fused form) are costed exactly once across
-/// the whole beam - including across worker threads; the memo is
-/// mutex-guarded and a cache entry's value is deterministic because the
-/// program, the evaluator and the simulator are.
-///
-/// Parallelize never changes the sequential trace, so the trailing
-/// Parallelize step the driver appends shares the prefix's measurement.
+/// Parallelize never changes the sequential trace, so a candidate with a
+/// trailing Parallelize costs the same as its prefix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,8 +75,10 @@ public:
   std::optional<double> missRatio(const TransformSequence &Seq,
                                   const std::string &Key);
 
-  /// Miss ratio of the untransformed nest (the empty sequence).
-  std::optional<double> baseline();
+  /// Simulated miss ratio of \p Transformed, a nest some sequence made
+  /// from the source nest, or nullopt when it cannot be executed under
+  /// the bindings (overflow, instance budget). Not memoized. Thread-safe.
+  std::optional<double> missRatio(const LoopNest &Transformed);
 
   /// The reference measurement of \p Seq: the interpreter runs the
   /// transformed nest with access recording and the trace is replayed
@@ -107,7 +108,6 @@ private:
   std::unordered_map<std::string, std::optional<double>> Memo;
   std::atomic<uint64_t> Fallbacks{0};
 
-  std::optional<double> measure(const TransformSequence &Seq);
   std::optional<double> interpret(const LoopNest &Transformed,
                                   const OverflowGuard &Guard) const;
 };

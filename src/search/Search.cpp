@@ -111,6 +111,12 @@ long parScoreOf(const std::vector<unsigned> &ParallelLoops, unsigned OutN,
   return S;
 }
 
+/// The two full-mode roots a finished state's one walk starts from.
+struct FullRoots {
+  legality::SequenceBuilder Submitted;  ///< on IncrementalEngine::global()
+  legality::SequenceBuilder CostedOnly; ///< on the search-local engine
+};
+
 /// Outcome of finishing one state into a reportable candidate.
 struct LeafEval {
   /// The state stays in the beam (its cost is meaningful).
@@ -126,8 +132,8 @@ struct LeafEval {
   ScoredSequence Cand;
 };
 
-LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
-                     const SearchOptions &Opts, CostModel *CM) {
+LeafEval finishState(const BeamState &St, const SearchOptions &Opts,
+                     CostModel *CM, const FullRoots &Roots) {
   LeafEval E;
   const unsigned OutN = St.Walk.outputLoops();
 
@@ -147,13 +153,47 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
   long Score =
       ParallelLoops.empty() ? 0 : parScoreOf(ParallelLoops, OutN, CheapBase);
 
+  // Submission reads only the fast walk's mapped set and the flags, so it
+  // is decided first and picks the root of the state's full-mode walk. A
+  // parallelism-objective leaf with nothing parallel is not an answer
+  // (mirrors AutoPar returning no candidate), but the prefix may still be
+  // worth expanding.
+  bool Submit = Opts.Obj != Objective::Parallelism || !ParallelLoops.empty();
+  bool Prefiltered = false;
+  if (Submit) {
+    // Analyzer pre-filter (docs/ANALYSIS.md): the fast pruning already
+    // validated this prefix's per-stage preconditions, so the only
+    // verdict the full test can add is the final lexicographic check
+    // (rule E100). Running it directly on the final mapped set skips the
+    // leaf confirmation for candidates that are certain to be rejected.
+    // Overflow falls through to the full test, which classifies it.
+    OverflowGuard Guard;
+    DepSet Final = ParallelLoops.empty()
+                       ? St.Walk.deps()
+                       : makeParallelize(OutN, Flags)
+                             ->mapDependences(St.Walk.deps());
+    Prefiltered = !Guard.triggered() && !Final.allLexNonNegative();
+    Submit = !Prefiltered;
+  }
+
+  // The state's one full-mode walk: the cost model measures its nest and
+  // the leaf confirmation extends it, so each candidate is applied once.
+  std::optional<legality::SequenceBuilder> Walk;
+  if (Submit || CM) {
+    Walk = Submit ? Roots.Submitted : Roots.CostedOnly;
+    for (const TemplateRef &T : St.Seq.steps())
+      if (!Walk->extend(T))
+        break;
+  }
+
   double Miss = -1.0;
-  if (Opts.Obj != Objective::Parallelism) {
-    // Parallelize does not change the sequential trace, so the prefix's
-    // canonical key shares the measurement with the finished leaf.
-    std::optional<double> M = CM->missRatio(St.Seq, St.Key);
+  if (CM) {
+    // A walk that rejects a stage built no nest: the state is
+    // unmeasurable and dropped entirely.
+    std::optional<double> M =
+        Walk->hasFailed() ? std::nullopt : CM->missRatio(Walk->nest());
     if (!M)
-      return E; // unmeasurable: drop the state entirely
+      return E;
     Miss = *M;
   }
 
@@ -169,44 +209,21 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
     break;
   }
   E.StateAlive = true;
-
-  // A parallelism-objective leaf with nothing parallel is not an answer
-  // (mirrors AutoPar returning no candidate), but the prefix may still be
-  // worth expanding.
-  if (Opts.Obj == Objective::Parallelism && ParallelLoops.empty())
+  E.AnalyzerPruned = Prefiltered;
+  if (!Submit)
     return E;
 
-  // Analyzer pre-filter (docs/ANALYSIS.md): the fast pruning already
-  // validated this prefix's per-stage preconditions, so the only verdict
-  // the full test can add is the final lexicographic check (rule E100).
-  // Running it directly on the final mapped set skips the whole isLegal
-  // walk for candidates that are certain to be rejected. Overflow falls
-  // through to isLegal, which classifies it properly.
-  {
-    OverflowGuard Guard;
-    DepSet Final = ParallelLoops.empty()
-                       ? St.Walk.deps()
-                       : makeParallelize(OutN, Flags)
-                             ->mapDependences(St.Walk.deps());
-    if (!Guard.triggered() && !Final.allLexNonNegative()) {
-      E.AnalyzerPruned = true;
-      return E;
-    }
-  }
-
-  TransformSequence LeafSeq = St.Seq;
-  if (!ParallelLoops.empty())
-    LeafSeq.append(makeParallelize(OutN, Flags));
-
+  // The leaf is confirmed with the *full* uniform legality test: the fast
+  // path pruned on types only, and the lexicographic test never ran on
+  // intermediate stages. The walk above already consumed the prefix, so
+  // the leaf adds only the trailing Parallelize and the final test.
   E.Submitted = true;
-  // Leaves are re-confirmed with the *full* uniform legality test: the
-  // fast path pruned on types only, and the lexicographic test never ran
-  // on intermediate stages. isLegal() is the prefix-memoized engine
-  // (legality/IncrementalEngine.h), so leaves sharing a prefix - the
-  // common case in a beam, including across worker threads - pay only
-  // the trailing Parallelize stage plus the final lexicographic test.
-  LegalityResult L = isLegal(LeafSeq, Nest, D);
-  if (!L.Legal)
+  TransformSequence LeafSeq = St.Seq;
+  if (!ParallelLoops.empty()) {
+    LeafSeq.append(makeParallelize(OutN, Flags));
+    Walk->extend(LeafSeq.steps().back());
+  }
+  if (!Walk->finish().Legal)
     return E;
   E.Legal = true;
   E.Cand.Key = LeafSeq.reduced().str();
@@ -245,15 +262,21 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
       R.Error = CM->unusableReason();
       return R;
     }
-    if (!CM->baseline()) {
-      R.Error = "cost model cannot execute the source nest under the "
-                "chosen parameter bindings";
-      return R;
-    }
   }
 
   SearchStats &S = R.Stats;
   std::vector<ScoredSequence> All;
+
+  // Expansion extends the engine's fast-mode walk, uncached: pair
+  // extensions are mostly one-off prefixes, so a shared cache would only
+  // add key building, locking and resident entries (docs/SEARCH.md). The
+  // full-mode walks of costed-only states run there too; submitted
+  // states walk on the process-wide engine (see FullRoots).
+  legality::EngineOptions ExpandOpts;
+  ExpandOpts.EnableCache = false;
+  legality::IncrementalEngine Expand(ExpandOpts);
+  const FullRoots Roots{legality::IncrementalEngine::global().open(Nest, D),
+                        Expand.open(Nest, D)};
   const unsigned Threads = effectiveThreads(Opts.Threads);
 
   // Evaluates every state's leaf in parallel (per-index slots), then
@@ -262,7 +285,7 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
   auto finishAll = [&](const std::vector<BeamState> &States) {
     std::vector<LeafEval> Evals(States.size());
     parallelFor(States.size(), Threads, [&](size_t I) {
-      Evals[I] = finishState(States[I], Nest, D, Opts, CM.get());
+      Evals[I] = finishState(States[I], Opts, CM.get(), Roots);
     });
     for (LeafEval &E : Evals) {
       if (E.AnalyzerPruned)
@@ -278,12 +301,6 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     return Evals;
   };
 
-  // Expansion extends the engine's fast-mode walk, uncached: pair
-  // extensions are mostly one-off prefixes, so a shared cache would only
-  // add key building, locking and resident entries (docs/SEARCH.md).
-  legality::EngineOptions ExpandOpts;
-  ExpandOpts.EnableCache = false;
-  legality::IncrementalEngine Expand(ExpandOpts);
   BeamState Root{TransformSequence(), "",
                  Expand.open(Nest, D, legality::Mode::Fast)};
   Root.Key = Root.Seq.str();
@@ -294,14 +311,19 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     std::vector<BeamState> RootVec;
     RootVec.push_back(std::move(Root));
     std::vector<LeafEval> Evals = finishAll(RootVec);
+    // The root walk has no stage to reject, so only a source nest the
+    // cost model cannot execute leaves it dead.
+    if (!Evals[0].StateAlive) {
+      R.Stats = SearchStats();
+      R.Error = "cost model cannot execute the source nest under the "
+                "chosen parameter bindings";
+      return R;
+    }
     RootVec[0].Cost = Evals[0].StateCost;
-    if (Evals[0].StateAlive)
-      Frontier.push_back(std::move(RootVec[0]));
+    Frontier.push_back(std::move(RootVec[0]));
   }
 
-  std::set<std::string> Visited;
-  if (!Frontier.empty())
-    Visited.insert(Frontier[0].Key);
+  std::set<std::string> Visited{Frontier[0].Key};
 
   for (unsigned Level = 1; Level <= Opts.Depth && !Frontier.empty(); ++Level) {
     // Expansion: each frontier state's step candidates are pruned by

@@ -19,8 +19,12 @@
 /// NOT be legal - a prefix is kept alive as long as its per-stage bounds
 /// preconditions hold (TypeState propagation) and the anchor-dependence
 /// side condition passes; the lexicographic dependence test only gates
-/// *finished* candidates, and every accepted leaf is re-confirmed with
-/// the full uniform legality test isLegal() before it can be reported.
+/// *finished* candidates. Each finished state gets exactly one full-mode
+/// legality walk (legality::SequenceBuilder): the cost model measures the
+/// nest that walk built, and the leaf is confirmed by extending the same
+/// walk with its trailing Parallelize and running the full uniform test,
+/// so a candidate is applied once and reported only when that walk
+/// accepts it.
 ///
 /// Parallelize is never enumerated as a step: each frontier state is
 /// finished by greedily parallelizing its final mapped dependence set
@@ -41,10 +45,12 @@
 /// the hardware concurrency (oversubscribing a deterministic CPU-bound
 /// search only adds scheduling overhead), which the contract above makes
 /// unobservable. Expansion extends each state's fast-mode builder on a
-/// search-local engine with its cache off; leaf confirmations run
-/// through the process-wide prefix-memoized legality engine
-/// (legality/IncrementalEngine.h), so concurrent workers share each
-/// other's surviving prefixes.
+/// search-local engine with its cache off. A finished state's full-mode
+/// walk starts from a root on the process-wide prefix-memoized engine
+/// (legality/IncrementalEngine.h) when its leaf is submitted, so
+/// concurrent workers and later requests on the same nest share those
+/// prefixes; a state that is only costed walks on the search-local
+/// engine. docs/SEARCH.md gives the measurements behind the split.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,10 +125,10 @@ struct SearchStats {
   uint64_t Enumerated = 0; ///< states considered: root + candidate steps
   uint64_t Pruned = 0;     ///< steps rejected by type-state/anchor/overflow
   uint64_t Deduped = 0;    ///< states merged by canonical key
-  uint64_t Leaves = 0;     ///< finished candidates submitted to isLegal
+  uint64_t Leaves = 0;     ///< finished candidates given the full test
   uint64_t Legal = 0;      ///< leaves the full legality test confirmed
   /// Finished candidates the analyzer pre-filter (rule E100 on the final
-  /// mapped dependence set) rejected without submitting to isLegal.
+  /// mapped dependence set) rejected without a leaf confirmation.
   uint64_t AnalyzerPruned = 0;
 };
 

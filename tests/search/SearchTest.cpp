@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 
 using namespace irlt;
@@ -60,6 +61,17 @@ double missOf(const LoopNest &Nest, const TransformSequence &Seq) {
   std::optional<double> M = CM.missRatio(Seq, Seq.reduced().str());
   EXPECT_TRUE(M.has_value());
   return M.value_or(1.0);
+}
+
+/// Every examples/nests nest, in path order.
+std::vector<std::string> exampleNestPaths() {
+  std::vector<std::string> Paths;
+  for (const auto &Ent : std::filesystem::directory_iterator(IRLT_EXAMPLES_DIR))
+    if (Ent.path().extension() == ".nest")
+      Paths.push_back(Ent.path().string());
+  std::sort(Paths.begin(), Paths.end());
+  EXPECT_FALSE(Paths.empty());
+  return Paths;
 }
 
 TEST(Search, MatmulLocalityMatchesHandBlockedSequence) {
@@ -267,16 +279,9 @@ TEST(Search, ExpansionPrunesExactlyTheFastWalksStageRejections) {
   // every enumerated step is one single-stage extension. The search must
   // prune exactly the steps the independent uncached fast walk rejects at
   // a stage; a final lexicographic rejection is not a pruning verdict.
-  std::vector<std::string> Paths;
-  for (const auto &Ent : std::filesystem::directory_iterator(IRLT_EXAMPLES_DIR))
-    if (Ent.path().extension() == ".nest")
-      Paths.push_back(Ent.path().string());
-  std::sort(Paths.begin(), Paths.end());
-  ASSERT_FALSE(Paths.empty());
-
   using RK = LegalityResult::RejectKind;
   uint64_t TotalPruned = 0;
-  for (const std::string &Path : Paths) {
+  for (const std::string &Path : exampleNestPaths()) {
     std::string Source;
     ASSERT_TRUE(readFile(Path, Source)) << Path;
     LoopNest Nest = parse(Source);
@@ -301,6 +306,46 @@ TEST(Search, ExpansionPrunesExactlyTheFastWalksStageRejections) {
   }
   // Some example must exercise the pruning at all.
   EXPECT_GT(TotalPruned, 0u);
+}
+
+TEST(Search, ReportedCandidatesMeasureAndConfirmTheirOwnNest) {
+  // Each reported candidate's miss ratio must be the reference
+  // measurement of its own sequential nest - not its parent's, and its
+  // trailing Parallelize does not change the trace - and its verdict must
+  // be the uncached full-mode walk's.
+  for (const std::string &Path : exampleNestPaths()) {
+    std::string Source;
+    ASSERT_TRUE(readFile(Path, Source)) << Path;
+    LoopNest Nest = parse(Source);
+    DepSet D = analyzeDependences(Nest);
+    CostModel CM(Nest, CostModelOptions{});
+
+    for (Objective Obj : {Objective::Locality, Objective::Both}) {
+      SearchOptions Opts;
+      Opts.Obj = Obj;
+      Opts.Beam = 4;
+      Opts.Depth = 2;
+      SearchResult R = searchTransformations(Nest, D, Opts);
+      ASSERT_TRUE(R.Error.empty()) << Path << ": " << R.Error;
+      ASSERT_FALSE(R.Top.empty()) << Path;
+      for (const ScoredSequence &C : R.Top) {
+        TransformSequence Sequential;
+        size_t Len = C.Seq.steps().size() - (C.ParallelLoops.empty() ? 0 : 1);
+        for (size_t I = 0; I < Len; ++I)
+          Sequential.append(C.Seq.steps()[I]);
+        std::optional<double> Ref = CM.referenceMissRatio(Sequential);
+        ASSERT_TRUE(Ref.has_value()) << Path << ": " << C.Key;
+        EXPECT_EQ(std::bit_cast<uint64_t>(C.MissRatio),
+                  std::bit_cast<uint64_t>(*Ref))
+            << Path << ": " << C.Key << " measured " << C.MissRatio
+            << ", reference " << *Ref;
+        EXPECT_TRUE(legality::IncrementalEngine::reference(
+                        C.Seq, Nest, D, legality::Mode::Full)
+                        .Legal)
+            << Path << ": " << C.Key;
+      }
+    }
+  }
 }
 
 } // namespace

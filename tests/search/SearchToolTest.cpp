@@ -9,7 +9,9 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -101,6 +103,48 @@ TEST(SearchTool, ValidateBudgetFlagParses) {
   EXPECT_EQ(runTool(Path + " --validate=0").ExitCode, 1);
   EXPECT_EQ(runTool(Path + " --validate=abc").ExitCode, 1);
 }
+
+/// Pins the byte-exact `irlt-search --explain --json` output for one
+/// examples/nests nest under every objective at beam/depth 2/1 and 4/2:
+/// winner, ranked top-k with costs and miss ratios, and the search
+/// statistics. A refactor of the search, the cost model or the legality
+/// walk must leave these bytes unchanged; an intended change shows up as
+/// a reviewable diff of tests/data/search/<nest>.<objective>.<beam>x<depth>
+/// .json. Set IRLT_UPDATE_GOLDEN=1 to regenerate.
+void checkSearchGoldens(const std::string &Nest) {
+  std::string Path = std::string(IRLT_EXAMPLES_DIR) + "/" + Nest + ".nest";
+  for (const char *Obj : {"locality", "par", "both"})
+    for (auto [Beam, Depth] : {std::pair{2, 1}, std::pair{4, 2}}) {
+      std::string Case = Nest + "." + Obj + "." + std::to_string(Beam) + "x" +
+                         std::to_string(Depth);
+      RunResult R = runTool(Path + " --objective " + Obj + " --beam " +
+                            std::to_string(Beam) + " --depth " +
+                            std::to_string(Depth) + " --explain --json");
+      EXPECT_EQ(R.ExitCode, 0) << Case << ": " << R.Output;
+      std::string GoldenPath =
+          std::string(IRLT_SEARCH_DATA_DIR) + "/" + Case + ".json";
+      if (std::getenv("IRLT_UPDATE_GOLDEN")) {
+        std::ofstream Out(GoldenPath);
+        ASSERT_TRUE(Out.good()) << "cannot write " << GoldenPath;
+        Out << R.Output;
+        continue;
+      }
+      std::ifstream In(GoldenPath);
+      ASSERT_TRUE(In.good()) << "missing golden file " << GoldenPath
+                             << " (run with IRLT_UPDATE_GOLDEN=1 to generate)";
+      std::ostringstream Expected;
+      Expected << In.rdbuf();
+      EXPECT_EQ(R.Output, Expected.str()) << "search output drifted for "
+                                          << Case;
+    }
+}
+
+TEST(SearchToolGolden, Coalesce) { checkSearchGoldens("coalesce"); }
+TEST(SearchToolGolden, Interchange) { checkSearchGoldens("interchange"); }
+TEST(SearchToolGolden, Matmul) { checkSearchGoldens("matmul"); }
+TEST(SearchToolGolden, Parallel) { checkSearchGoldens("parallel"); }
+TEST(SearchToolGolden, Stencil) { checkSearchGoldens("stencil"); }
+TEST(SearchToolGolden, Triangular) { checkSearchGoldens("triangular"); }
 
 TEST(SearchTool, BadFlagsExitOne) {
   std::string Path = writeNest("bad", MatmulSrc);
